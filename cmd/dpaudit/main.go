@@ -54,10 +54,10 @@ import (
 
 func main() {
 	var (
-		eps    = flag.Float64("eps", 1.0, "claimed pattern-level budget")
-		m      = flag.Int("m", 3, "private pattern length")
-		trials = flag.Int("trials", 100000, "samples per neighbor input")
-		seed   = flag.Int64("seed", 1, "audit seed")
+		eps     = flag.Float64("eps", 1.0, "claimed pattern-level budget")
+		m       = flag.Int("m", 3, "private pattern length")
+		trials  = flag.Int("trials", 100000, "samples per neighbor input")
+		seed    = flag.Int64("seed", 1, "audit seed")
 		serve   = flag.Bool("serve", false, "audit the serving ledger: run a budgeted serving pass and compare declared vs empirical ε")
 		restart = flag.Bool("restart", false, "audit the ledger across restart boundaries: kill + recover, hold recovered spend to published spend")
 		budget  = flag.Float64("budget", 0, "per-stream grant for -serve/-restart (default 8 x eps)")

@@ -17,9 +17,8 @@
 //	ppmserve -listen :7070 -wal-dir /var/lib/ppm/a -handoff-to host:7071 -handoff-token s3cr3t
 //
 // With -slide less than the window width the runtime serves sliding windows
-// assembled from panes of the slide width (see README "Sliding windows");
-// -naive switches to the brute-force per-window re-evaluation baseline for
-// comparison. -snap prints a periodic serving snapshot line — events,
+// assembled from panes of the slide width (see README "Sliding windows").
+// -snap prints a periodic serving snapshot line — events,
 // windows, panes, overlap, answers — while traffic flows.
 //
 // With -budget the runtime runs the privacy-budget ledger (see README
@@ -96,7 +95,6 @@ func main() {
 		churn     = flag.Float64("churn", 0, "control-plane churn: probe-query (un)registrations per second")
 		batch     = flag.Int("batch", 1, "events per IngestBatch call (1 = per-event Ingest)")
 		slide     = flag.Int64("slide", 0, "window slide in logical time (0 = window width, i.e. tumbling; must divide the width)")
-		naive     = flag.Bool("naive", false, "serve sliding windows by brute-force per-window re-evaluation (comparison baseline)")
 		snap      = flag.Duration("snap", 0, "print a periodic serving snapshot at this interval (0 = off)")
 		budget    = flag.Float64("budget", 0, "per-stream privacy-budget grant per epoch (0 = accounting off)")
 		budgetPol = flag.String("budget-policy", "deny", "budget exhaustion policy: deny | suppress | throttle | rotate-epoch")
@@ -150,11 +148,11 @@ func main() {
 		switch {
 		case *listen != "":
 			ho := handoffOpts{To: *handoffTo, Takeover: *takeover, Token: *handoffToken}
-			return runServer(*listen, *maxStreams, *drainTimeout, *heartbeat, *resumeWindow, *replayBuffer, *rateLimit, *maxParked, ho, *adminAddr, *traceSample, *shards, *eps, *seed, *buffer, *bp, *lateness, *horizon, *slide, *naive, *windows, *budget, *budgetPol, *walDir, *fsync, *ckptEvery)
+			return runServer(*listen, *maxStreams, *drainTimeout, *heartbeat, *resumeWindow, *replayBuffer, *rateLimit, *maxParked, ho, *adminAddr, *traceSample, *shards, *eps, *seed, *buffer, *bp, *lateness, *horizon, *slide, *windows, *budget, *budgetPol, *walDir, *fsync, *ckptEvery)
 		case *connect != "":
 			return runClient(*connect, *tenantName, *streams, *windows, *batch, *seed, *reconnect)
 		}
-		return run(*shards, *streams, *windows, *eps, *seed, *buffer, *bp, *lateness, *horizon, *churn, *batch, *slide, *naive, *snap, *budget, *budgetPol, *walDir, *fsync, *ckptEvery, *adminAddr, *traceSample)
+		return run(*shards, *streams, *windows, *eps, *seed, *buffer, *bp, *lateness, *horizon, *churn, *batch, *slide, *snap, *budget, *budgetPol, *walDir, *fsync, *ckptEvery, *adminAddr, *traceSample)
 	}
 	if err := profiledRun(); err != nil {
 		fmt.Fprintln(os.Stderr, "ppmserve:", err)
@@ -180,7 +178,7 @@ func main() {
 // types, and (shared) target queries; the flags supply everything else. reg
 // (which may be nil) receives the runtime's metrics and traceSample enables
 // the sampled event-lifecycle trace.
-func buildRuntime(shards int, eps float64, seed int64, buffer int, bp string, lateness, horizon int64, slide int64, naive bool, windows int, budget float64, budgetPol, walDir, fsync string, ckptEvery time.Duration, reg *metrics.Registry, traceSample float64) (*runtime.Runtime, *synth.Dataset, synth.Config, error) {
+func buildRuntime(shards int, eps float64, seed int64, buffer int, bp string, lateness, horizon int64, slide int64, windows int, budget float64, budgetPol, walDir, fsync string, ckptEvery time.Duration, reg *metrics.Registry, traceSample float64) (*runtime.Runtime, *synth.Dataset, synth.Config, error) {
 	policy, err := account.ParsePolicy(budgetPol)
 	if err != nil {
 		return nil, nil, synth.Config{}, err
@@ -192,10 +190,9 @@ func buildRuntime(shards int, eps float64, seed int64, buffer int, bp string, la
 		return nil, nil, synth.Config{}, err
 	}
 	cfg := runtime.Config{
-		Shards:       shards,
-		WindowWidth:  scfg.WindowWidth,
-		Slide:        event.Timestamp(slide),
-		NaiveSliding: naive,
+		Shards:      shards,
+		WindowWidth: scfg.WindowWidth,
+		Slide:       event.Timestamp(slide),
 		// The set-aware factory keeps the budget split coherent across
 		// control-plane epochs (and enables RegisterPrivate).
 		MechanismFor: func(_ int, private []core.PatternType) (core.Mechanism, error) {
@@ -254,7 +251,7 @@ func buildRuntime(shards int, eps float64, seed int64, buffer int, bp string, la
 	return rt, ds, scfg, nil
 }
 
-func run(shards, streams, windows int, eps float64, seed int64, buffer int, bp string, lateness, horizon int64, churn float64, batch int, slide int64, naive bool, snap time.Duration, budget float64, budgetPol, walDir, fsync string, ckptEvery time.Duration, adminAddr string, traceSample float64) error {
+func run(shards, streams, windows int, eps float64, seed int64, buffer int, bp string, lateness, horizon int64, churn float64, batch int, slide int64, snap time.Duration, budget float64, budgetPol, walDir, fsync string, ckptEvery time.Duration, adminAddr string, traceSample float64) error {
 	if batch < 1 {
 		return fmt.Errorf("batch size %d must be >= 1", batch)
 	}
@@ -269,7 +266,7 @@ func run(shards, streams, windows int, eps float64, seed int64, buffer int, bp s
 	if adminAddr != "" || traceSample > 0 {
 		reg = metrics.NewRegistry()
 	}
-	rt, ds, scfg, err := buildRuntime(shards, eps, seed, buffer, bp, lateness, horizon, slide, naive, windows, budget, budgetPol, walDir, fsync, ckptEvery, reg, traceSample)
+	rt, ds, scfg, err := buildRuntime(shards, eps, seed, buffer, bp, lateness, horizon, slide, windows, budget, budgetPol, walDir, fsync, ckptEvery, reg, traceSample)
 	if err != nil {
 		return err
 	}
@@ -284,12 +281,8 @@ func run(shards, streams, windows int, eps float64, seed int64, buffer int, bp s
 	base := ds.Events()
 	targets := ds.TargetQueries()
 	if slide > 0 && event.Timestamp(slide) != scfg.WindowWidth {
-		mode := "pane-assembled"
-		if naive {
-			mode = "naive re-evaluation"
-		}
-		fmt.Printf("serving %d streams x %d events across %d shards, eps=%g — sliding windows width %d slide %d (overlap %d, %s)\n",
-			streams, len(base), shards, eps, scfg.WindowWidth, slide, rt.Snapshot().Overlap, mode)
+		fmt.Printf("serving %d streams x %d events across %d shards, eps=%g — sliding windows width %d slide %d (overlap %d, pane-assembled)\n",
+			streams, len(base), shards, eps, scfg.WindowWidth, slide, rt.Snapshot().Overlap)
 	} else {
 		fmt.Printf("serving %d streams x %d events (%d windows each) across %d shards, eps=%g\n",
 			streams, len(base), windows, shards, eps)

@@ -72,7 +72,7 @@ func handoffPhase(reg *metrics.Registry, phase string) *metrics.Histogram {
 
 // runServer is the -listen mode: one shared runtime, many tenant
 // connections, graceful drain on the first signal.
-func runServer(addr string, maxStreams int, drainTimeout, heartbeat, resumeWindow time.Duration, replayBuffer int, rateLimit float64, maxParked int, ho handoffOpts, adminAddr string, traceSample float64, shards int, eps float64, seed int64, buffer int, bp string, lateness, horizon, slide int64, naive bool, windows int, budget float64, budgetPol, walDir, fsync string, ckptEvery time.Duration) error {
+func runServer(addr string, maxStreams int, drainTimeout, heartbeat, resumeWindow time.Duration, replayBuffer int, rateLimit float64, maxParked int, ho handoffOpts, adminAddr string, traceSample float64, shards int, eps float64, seed int64, buffer int, bp string, lateness, horizon, slide int64, windows int, budget float64, budgetPol, walDir, fsync string, ckptEvery time.Duration) error {
 	// The -listen mode is always observed: one registry spans runtime,
 	// durability, serving layer, and handoff phases whether or not an
 	// -admin listener exposes it (the shutdown report reads it regardless).
@@ -90,7 +90,7 @@ func runServer(addr string, maxStreams int, drainTimeout, heartbeat, resumeWindo
 		fmt.Printf("takeover: adopted %d files (%d bytes) from %s — %d sessions, source spend %.4g\n",
 			sum.Files, sum.Bytes, sum.Source, sum.Sessions, sum.Spend)
 	}
-	rt, ds, scfg, err := buildRuntime(shards, eps, seed, buffer, bp, lateness, horizon, slide, naive, windows, budget, budgetPol, walDir, fsync, ckptEvery, reg, traceSample)
+	rt, ds, scfg, err := buildRuntime(shards, eps, seed, buffer, bp, lateness, horizon, slide, windows, budget, budgetPol, walDir, fsync, ckptEvery, reg, traceSample)
 	if err != nil {
 		return err
 	}

@@ -89,18 +89,18 @@ func TestValidate(t *testing.T) {
 
 func TestEvalWindowAtomSeq(t *testing.T) {
 	w := win(event.New("a", 1), event.New("x", 2), event.New("b", 3))
-	if ok, _ := EvalWindow(E("a"), w); !ok {
+	if ok, _ := evalWindow(E("a"), w); !ok {
 		t.Error("atom should match")
 	}
-	if ok, _ := EvalWindow(E("z"), w); ok {
+	if ok, _ := evalWindow(E("z"), w); ok {
 		t.Error("absent atom matched")
 	}
-	ok, witness := EvalWindow(SeqTypes("a", "b"), w)
+	ok, witness := evalWindow(SeqTypes("a", "b"), w)
 	if !ok || len(witness) != 2 || witness[0].Type != "a" || witness[1].Type != "b" {
 		t.Errorf("seq witness = %v", witness)
 	}
 	// Order matters: b then a must fail.
-	if ok, _ := EvalWindow(SeqTypes("b", "a"), w); ok {
+	if ok, _ := evalWindow(SeqTypes("b", "a"), w); ok {
 		t.Error("reversed sequence matched")
 	}
 }
@@ -108,7 +108,7 @@ func TestEvalWindowAtomSeq(t *testing.T) {
 func TestEvalWindowSeqStrictOrder(t *testing.T) {
 	// Same timestamp does not satisfy "strictly after".
 	w := win(event.New("a", 5), event.New("b", 5))
-	if ok, _ := EvalWindow(SeqTypes("a", "b"), w); ok {
+	if ok, _ := evalWindow(SeqTypes("a", "b"), w); ok {
 		t.Error("simultaneous events satisfied a SEQ")
 	}
 }
@@ -117,7 +117,7 @@ func TestEvalWindowSeqBacktracking(t *testing.T) {
 	// a@1 b@2 a@3 c@4 — SEQ(a, b, c)? witness must be a@1 b@2 c@4,
 	// requiring the evaluator to not greedily bind the last a.
 	w := win(event.New("a", 1), event.New("b", 2), event.New("a", 3), event.New("c", 4))
-	ok, witness := EvalWindow(SeqTypes("a", "b", "c"), w)
+	ok, witness := evalWindow(SeqTypes("a", "b", "c"), w)
 	if !ok {
 		t.Fatal("should match")
 	}
@@ -125,7 +125,7 @@ func TestEvalWindowSeqBacktracking(t *testing.T) {
 		t.Errorf("witness times = %v", witness)
 	}
 	// SEQ(b, a): b@2 then a@3 — requires trying later a candidates.
-	ok, _ = EvalWindow(SeqTypes("b", "a"), w)
+	ok, _ = evalWindow(SeqTypes("b", "a"), w)
 	if !ok {
 		t.Error("SEQ(b,a) should match via a@3")
 	}
@@ -133,22 +133,22 @@ func TestEvalWindowSeqBacktracking(t *testing.T) {
 
 func TestEvalWindowAndOrNeg(t *testing.T) {
 	w := win(event.New("a", 1), event.New("b", 2))
-	if ok, _ := EvalWindow(AndOf(E("b"), E("a")), w); !ok {
+	if ok, _ := evalWindow(AndOf(E("b"), E("a")), w); !ok {
 		t.Error("AND should be order-insensitive")
 	}
-	if ok, _ := EvalWindow(AndOf(E("a"), E("z")), w); ok {
+	if ok, _ := evalWindow(AndOf(E("a"), E("z")), w); ok {
 		t.Error("AND with absent part matched")
 	}
-	if ok, _ := EvalWindow(OrOf(E("z"), E("b")), w); !ok {
+	if ok, _ := evalWindow(OrOf(E("z"), E("b")), w); !ok {
 		t.Error("OR should match via b")
 	}
-	if ok, _ := EvalWindow(OrOf(E("z"), E("y")), w); ok {
+	if ok, _ := evalWindow(OrOf(E("z"), E("y")), w); ok {
 		t.Error("OR with no parts present matched")
 	}
-	if ok, _ := EvalWindow(NegOf(E("z")), w); !ok {
+	if ok, _ := evalWindow(NegOf(E("z")), w); !ok {
 		t.Error("NEG of absent should match")
 	}
-	if ok, _ := EvalWindow(NegOf(E("a")), w); ok {
+	if ok, _ := evalWindow(NegOf(E("a")), w); ok {
 		t.Error("NEG of present matched")
 	}
 }
@@ -157,11 +157,11 @@ func TestEvalWindowCompositeInsideSeq(t *testing.T) {
 	// SEQ(AND(a,b), c): both a and b must occur before c... (the composite
 	// head's witness end bounds the tail).
 	w := win(event.New("a", 1), event.New("b", 2), event.New("c", 3))
-	if ok, _ := EvalWindow(SeqOf(AndOf(E("a"), E("b")), E("c")), w); !ok {
+	if ok, _ := evalWindow(SeqOf(AndOf(E("a"), E("b")), E("c")), w); !ok {
 		t.Error("SEQ(AND(a,b), c) should match")
 	}
 	w2 := win(event.New("a", 1), event.New("c", 2), event.New("b", 3))
-	if ok, _ := EvalWindow(SeqOf(AndOf(E("a"), E("b")), E("c")), w2); ok {
+	if ok, _ := evalWindow(SeqOf(AndOf(E("a"), E("b")), E("c")), w2); ok {
 		t.Error("c occurs before AND completes; should not match")
 	}
 }
@@ -185,17 +185,6 @@ func TestEvalIndicators(t *testing.T) {
 	}
 	if !EvalIndicators(AndOf(E("a"), E("c")), present) {
 		t.Error("and over indicators broken")
-	}
-}
-
-func TestIndicatorsExtraction(t *testing.T) {
-	w := win(event.New("a", 1), event.New("b", 2))
-	ind := Indicators(w, []event.Type{"a", "b", "z"})
-	if !ind["a"] || !ind["b"] || ind["z"] {
-		t.Errorf("Indicators = %v", ind)
-	}
-	if len(ind) != 3 {
-		t.Errorf("Indicators should cover requested types only, got %v", ind)
 	}
 }
 
@@ -391,7 +380,7 @@ func TestNFAvsWindowEvaluatorAgreement(t *testing.T) {
 	seq := SeqTypes("a", "b", "c")
 	for i, evs := range evsets {
 		w := win(evs...)
-		evalOK, _ := EvalWindow(seq, w)
+		evalOK, _ := evalWindow(seq, w)
 		m, _ := CompileSeq("q", seq, 0)
 		nfaOK := len(m.FeedAll(evs)) > 0
 		if evalOK != nfaOK {

@@ -7,17 +7,20 @@ import (
 	"patterndp/internal/stream"
 )
 
-// EvalWindow evaluates the expression against the events of one window and
-// reports whether the pattern occurs there, plus one witness instance (the
-// constituent events) when it does. For Neg the witness is empty.
+// evalWindow is the concrete-window walker behind Plan.EvalWindow and
+// Plan.DetectWindow: it reports whether the pattern occurs in the window's
+// events, plus one witness instance (the constituent events) when it does.
+// For Neg the witness is empty.
 //
 // Semantics:
 //   - Atom: at least one event in the window matches type and predicate.
 //   - Seq:  the parts match strictly increasing timestamps.
 //   - And:  every part matches somewhere in the window.
-//   - Or:   at least one part matches.
+//   - Or:   at least one part matches; the witness is the first matching
+//     part's.
 //   - Neg:  the inner expression does not match.
-func EvalWindow(e Expr, w stream.Window) (bool, []event.Event) {
+//   - Times: see Times.
+func evalWindow(e Expr, w stream.Window) (bool, []event.Event) {
 	switch x := e.(type) {
 	case *Atom:
 		for _, ev := range w.Events {
@@ -34,7 +37,7 @@ func EvalWindow(e Expr, w stream.Window) (bool, []event.Event) {
 		// building the witness incrementally.
 		witness := make([]event.Event, 0, len(x.Parts))
 		for _, p := range x.Parts {
-			ok, evs := EvalWindow(p, w)
+			ok, evs := evalWindow(p, w)
 			if !ok {
 				return false, nil
 			}
@@ -43,15 +46,14 @@ func EvalWindow(e Expr, w stream.Window) (bool, []event.Event) {
 		return true, witness
 	case *Or:
 		for _, p := range x.Parts {
-			if ok, evs := EvalWindow(p, w); ok {
+			if ok, evs := evalWindow(p, w); ok {
 				return true, evs
 			}
 		}
 		return false, nil
 	case *Neg:
-		// Only the boolean matters for the inner expression; the
-		// detect-only path skips witness materialization entirely.
-		return !Detect(x.Inner, w), nil
+		ok, _ := evalWindow(x.Inner, w)
+		return !ok, nil
 	case *Times:
 		n, witness := countOccurrences(x.Inner, w)
 		if n < x.Min || (x.Max != 0 && n > x.Max) {
@@ -60,85 +62,6 @@ func EvalWindow(e Expr, w stream.Window) (bool, []event.Event) {
 		return true, witness
 	default:
 		panic(fmt.Sprintf("cep: unknown expression node %T", e))
-	}
-}
-
-// Detect is EvalWindow restricted to the boolean answer: it reports whether
-// the pattern occurs in the window without materializing a witness, so OR
-// and NEG branches (and the recursion below them) allocate nothing. Callers
-// that need the matching instance use EvalWindow.
-func Detect(e Expr, w stream.Window) bool {
-	switch x := e.(type) {
-	case *Atom:
-		for _, ev := range w.Events {
-			if x.Matches(ev) {
-				return true
-			}
-		}
-		return false
-	case *Seq:
-		return detectSeq(x.Parts, w, -1<<62)
-	case *And:
-		for _, p := range x.Parts {
-			if !Detect(p, w) {
-				return false
-			}
-		}
-		return true
-	case *Or:
-		for _, p := range x.Parts {
-			if Detect(p, w) {
-				return true
-			}
-		}
-		return false
-	case *Neg:
-		return !Detect(x.Inner, w)
-	case *Times:
-		n := countOccurrencesDetect(x.Inner, w)
-		return n >= x.Min && (x.Max == 0 || n <= x.Max)
-	default:
-		panic(fmt.Sprintf("cep: unknown expression node %T", e))
-	}
-}
-
-// detectSeq is evalSeq without witness construction. Atom heads recurse
-// directly; composite heads still evaluate with a witness internally, since
-// the witness end bounds where the rest of the sequence may start.
-func detectSeq(parts []Expr, w stream.Window, after event.Timestamp) bool {
-	if len(parts) == 0 {
-		return true
-	}
-	head, rest := parts[0], parts[1:]
-	switch x := head.(type) {
-	case *Atom:
-		for _, ev := range w.Events {
-			if ev.Time <= after || !x.Matches(ev) {
-				continue
-			}
-			if detectSeq(rest, w, ev.Time) {
-				return true
-			}
-		}
-		return false
-	default:
-		sub := stream.Window{Start: w.Start, End: w.End}
-		for _, ev := range w.Events {
-			if ev.Time > after {
-				sub.Events = append(sub.Events, ev)
-			}
-		}
-		ok, evs := EvalWindow(head, sub)
-		if !ok {
-			return false
-		}
-		end := after
-		for _, ev := range evs {
-			if ev.Time > end {
-				end = ev.Time
-			}
-		}
-		return detectSeq(rest, w, end)
 	}
 }
 
@@ -164,31 +87,52 @@ func evalSeq(parts []Expr, w stream.Window, after event.Timestamp) (bool, []even
 			}
 		}
 		return false, nil
-	default:
-		// Composite head: evaluate it against the sub-window after
-		// `after`; its witness end becomes the new bound.
-		sub := stream.Window{Start: w.Start, End: w.End}
-		for _, ev := range w.Events {
-			if ev.Time > after {
-				sub.Events = append(sub.Events, ev)
+	case *Or:
+		// Each alternative is a sequence head of its own: committing to
+		// the first part that matches would miss a later part whose
+		// witness lets the rest of the sequence complete.
+		for _, p := range x.Parts {
+			if ok, evs := evalSeq(append([]Expr{p}, rest...), w, after); ok {
+				return true, evs
 			}
 		}
-		ok, evs := EvalWindow(head, sub)
+		return false, nil
+	default:
+		// Other composite heads: evaluate against the sub-window after
+		// `after`; the head's witness end becomes the new bound.
+		ok, evs := evalWindow(head, eventsAfter(w, after))
 		if !ok {
 			return false, nil
 		}
-		end := after
-		for _, ev := range evs {
-			if ev.Time > end {
-				end = ev.Time
-			}
-		}
-		ok, tail := evalSeq(rest, w, end)
+		ok, tail := evalSeq(rest, w, witnessEnd(evs, after))
 		if !ok {
 			return false, nil
 		}
 		return true, append(evs, tail...)
 	}
+}
+
+// eventsAfter returns the window restricted to events strictly after t.
+func eventsAfter(w stream.Window, t event.Timestamp) stream.Window {
+	sub := stream.Window{Start: w.Start, End: w.End}
+	for _, ev := range w.Events {
+		if ev.Time > t {
+			sub.Events = append(sub.Events, ev)
+		}
+	}
+	return sub
+}
+
+// witnessEnd returns the latest timestamp among the witness events, or from
+// when the witness is empty or entirely earlier.
+func witnessEnd(evs []event.Event, from event.Timestamp) event.Timestamp {
+	end := from
+	for _, ev := range evs {
+		if ev.Time > end {
+			end = ev.Time
+		}
+	}
+	return end
 }
 
 // EvalIndicators evaluates the expression against per-type presence
@@ -200,6 +144,10 @@ func evalSeq(parts []Expr, w stream.Window, after event.Timestamp) (bool, []even
 //
 // Predicates cannot be applied to an indicator; atoms with predicates are
 // treated by type only.
+//
+// EvalIndicators is the reference interpreter: serving and quality code
+// answers through Plan.EvalIndicators, and tests check the compiled plan
+// against this function.
 func EvalIndicators(e Expr, present map[event.Type]bool) bool {
 	switch x := e.(type) {
 	case *Atom:
@@ -236,15 +184,4 @@ func EvalIndicators(e Expr, present map[event.Type]bool) bool {
 	default:
 		panic(fmt.Sprintf("cep: unknown expression node %T", e))
 	}
-}
-
-// Indicators extracts the per-type presence map of a window, restricted to
-// the given types. This is the vector I(e) = (I(e1), …, I(en)) that the
-// randomized-response mechanisms take as input.
-func Indicators(w stream.Window, types []event.Type) map[event.Type]bool {
-	out := make(map[event.Type]bool, len(types))
-	for _, t := range types {
-		out[t] = w.Contains(t)
-	}
-	return out
 }

@@ -65,7 +65,7 @@ func FuzzNFAFeed(f *testing.F) {
 			t.Fatal(err)
 		}
 		nfaOK := len(m.FeedAll(w.Events)) > 0
-		evalOK, _ := EvalWindow(seq, w)
+		evalOK, _ := evalWindow(seq, w)
 		if nfaOK != evalOK {
 			t.Fatalf("nfa=%t evaluator=%t on %v", nfaOK, evalOK, w.Events)
 		}

@@ -11,6 +11,11 @@ import (
 // Max times within the window (Kleene-style repetition). Max = 0 means
 // unbounded. Occurrences are counted as disjoint matches in temporal order.
 //
+// A matching TIMES consumes every occurrence it counted, not just the first
+// Min: its witness holds all of them, so under SEQ the next part must start
+// after the last occurrence. SEQ(TIMES(a, 1), c) therefore needs a c after
+// the window's last a, not merely after some a.
+//
 // Over perturbed indicators, repetition counts are not observable — only
 // existence is released — so EvalIndicators treats Times with Min ≤ 1 as
 // presence of the inner expression and Times with Min > 1 conservatively as
@@ -63,38 +68,6 @@ func (t *Times) validate() error {
 	return t.Inner.validate()
 }
 
-// countOccurrencesDetect is countOccurrences without witness accumulation:
-// each match's events are still needed to find where counting resumes, but
-// they are not appended into a growing witness slice.
-func countOccurrencesDetect(e Expr, w stream.Window) int {
-	count := 0
-	after := event.Timestamp(-1 << 62)
-	for {
-		sub := stream.Window{Start: w.Start, End: w.End}
-		for _, ev := range w.Events {
-			if ev.Time > after {
-				sub.Events = append(sub.Events, ev)
-			}
-		}
-		ok, evs := EvalWindow(e, sub)
-		if !ok {
-			return count
-		}
-		count++
-		end := after
-		for _, ev := range evs {
-			if ev.Time > end {
-				end = ev.Time
-			}
-		}
-		if end == after {
-			// Zero-width witness (e.g. NEG): avoid an infinite loop.
-			return count
-		}
-		after = end
-	}
-}
-
 // countOccurrences counts disjoint matches of the expression in temporal
 // order: after each match, counting resumes strictly after the match's last
 // event.
@@ -103,24 +76,13 @@ func countOccurrences(e Expr, w stream.Window) (int, []event.Event) {
 	var witness []event.Event
 	after := event.Timestamp(-1 << 62)
 	for {
-		sub := stream.Window{Start: w.Start, End: w.End}
-		for _, ev := range w.Events {
-			if ev.Time > after {
-				sub.Events = append(sub.Events, ev)
-			}
-		}
-		ok, evs := EvalWindow(e, sub)
+		ok, evs := evalWindow(e, eventsAfter(w, after))
 		if !ok {
 			return count, witness
 		}
 		count++
 		witness = append(witness, evs...)
-		end := after
-		for _, ev := range evs {
-			if ev.Time > end {
-				end = ev.Time
-			}
-		}
+		end := witnessEnd(evs, after)
 		if end == after {
 			// Zero-width witness (e.g. NEG): avoid an infinite loop.
 			return count, witness

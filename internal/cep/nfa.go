@@ -13,7 +13,7 @@ import (
 // events within the time window yields a detection.
 //
 // Only Seq-of-Atom expressions compile to an NFA; composite operators are
-// evaluated by the batch window evaluator (EvalWindow). This split mirrors
+// evaluated by the window walker behind Plan.EvalWindow. This split mirrors
 // production engines, where hot sequence queries run incrementally and rich
 // queries run on materialized windows.
 type NFA struct {

@@ -26,8 +26,8 @@ import (
 //     answers from the merged bits.
 //   - Everything else (TIMES, SEQ under composites) falls back to assembling
 //     the window's events from a ring of retained pane copies and running
-//     the batch evaluator; the assembly scratch is reused, so the fallback
-//     still avoids per-window allocation, just not per-window scanning.
+//     Plan.DetectWindow; the assembly scratch is reused across windows, so
+//     the fallback pays per-window scanning but no per-window buffer growth.
 //
 // A SlidingEval is stateful and not safe for concurrent use.
 type SlidingEval struct {
@@ -70,7 +70,7 @@ func (p *Plan) Sliding(width, slide event.Timestamp) (*SlidingEval, error) {
 		}
 		se.nfa = m
 		se.pend = make([]bool, se.overlap)
-	case p.winProg != nil:
+	case p.win != nil:
 		se.bits = make([]uint64, se.overlap)
 	default:
 		se.paneEvs = make([][]event.Event, se.overlap)
@@ -123,9 +123,10 @@ func (se *SlidingEval) PushPane(pane stream.Pane) bool {
 		return v
 	case se.bits != nil:
 		var bits uint64
-		all := uint64(1)<<uint(len(se.plan.winAtoms)) - 1
+		leaves := se.plan.win.leaves
+		all := uint64(1)<<uint(len(leaves)) - 1
 		for _, e := range pane.Events {
-			for i, a := range se.plan.winAtoms {
+			for i, a := range leaves {
 				if bits&(1<<uint(i)) == 0 && a.Matches(e) {
 					bits |= 1 << uint(i)
 				}
@@ -143,7 +144,7 @@ func (se *SlidingEval) PushPane(pane stream.Pane) bool {
 		for i := 0; i < n; i++ {
 			merged |= se.bits[i]
 		}
-		return se.plan.evalWindowBits(merged)
+		return se.plan.win.eval(func(i int32) bool { return merged&(1<<uint(i)) != 0 })
 	default:
 		se.paneEvs[slot] = append(se.paneEvs[slot][:0], pane.Events...)
 		se.scratch = se.scratch[:0]

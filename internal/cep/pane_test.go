@@ -78,7 +78,7 @@ func TestPropertySlidingEvalMatchesBruteForce(t *testing.T) {
 					w.Events = append(w.Events, e)
 				}
 			}
-			want := Detect(expr, w)
+			want, _ := evalWindow(expr, w)
 			if got != want {
 				t.Fatalf("trial %d expr %s width %d slide %d window [%d,%d): sliding %v, brute force %v",
 					trial, expr, width, slide, w.Start, w.End, got, want)

@@ -201,16 +201,16 @@ func TestTimesEvalWindow(t *testing.T) {
 	w := stream.Window{Start: 0, End: 100, Events: []event.Event{
 		event.New("r", 1), event.New("r", 2), event.New("r", 3),
 	}}
-	if ok, _ := EvalWindow(TimesOf(E("r"), 3, 0), w); !ok {
+	if ok, _ := evalWindow(TimesOf(E("r"), 3, 0), w); !ok {
 		t.Error("3 occurrences should satisfy TIMES(r, 3)")
 	}
-	if ok, _ := EvalWindow(TimesOf(E("r"), 4, 0), w); ok {
+	if ok, _ := evalWindow(TimesOf(E("r"), 4, 0), w); ok {
 		t.Error("3 occurrences should not satisfy TIMES(r, 4)")
 	}
-	if ok, _ := EvalWindow(TimesOf(E("r"), 1, 2), w); ok {
+	if ok, _ := evalWindow(TimesOf(E("r"), 1, 2), w); ok {
 		t.Error("3 occurrences exceed TIMES(r, 1, 2)")
 	}
-	ok, witness := EvalWindow(TimesOf(E("r"), 2, 3), w)
+	ok, witness := evalWindow(TimesOf(E("r"), 2, 3), w)
 	if !ok || len(witness) != 3 {
 		t.Errorf("witness = %v", witness)
 	}
@@ -222,10 +222,10 @@ func TestTimesOfSequences(t *testing.T) {
 		event.New("a", 1), event.New("b", 2),
 		event.New("a", 3), event.New("b", 4),
 	}}
-	if ok, _ := EvalWindow(TimesOf(SeqTypes("a", "b"), 2, 0), w); !ok {
+	if ok, _ := evalWindow(TimesOf(SeqTypes("a", "b"), 2, 0), w); !ok {
 		t.Error("two disjoint seq matches expected")
 	}
-	if ok, _ := EvalWindow(TimesOf(SeqTypes("a", "b"), 3, 0), w); ok {
+	if ok, _ := evalWindow(TimesOf(SeqTypes("a", "b"), 3, 0), w); ok {
 		t.Error("only two disjoint matches exist")
 	}
 }
@@ -243,7 +243,7 @@ func TestTimesEvalIndicators(t *testing.T) {
 func TestTimesZeroWidthWitnessTerminates(t *testing.T) {
 	// NEG matches with an empty witness; counting must not loop forever.
 	w := stream.Window{Start: 0, End: 10}
-	ok, _ := EvalWindow(TimesOf(NegOf(E("x")), 1, 0), w)
+	ok, _ := evalWindow(TimesOf(NegOf(E("x")), 1, 0), w)
 	if !ok {
 		t.Error("NEG(x) holds once in an empty window")
 	}
@@ -276,7 +276,7 @@ func TestParsedExprEvaluates(t *testing.T) {
 	w := stream.Window{Start: 0, End: 10, Events: []event.Event{
 		event.New("a", 1), event.New("c", 2),
 	}}
-	if ok, _ := EvalWindow(e, w); !ok {
+	if ok, _ := evalWindow(e, w); !ok {
 		t.Error("parsed expression failed to evaluate")
 	}
 	if !strings.Contains(e.String(), "OR(b, c)") {

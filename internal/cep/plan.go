@@ -1,6 +1,8 @@
 package cep
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -8,16 +10,16 @@ import (
 	"patterndp/internal/stream"
 )
 
-// Plan is a compiled query evaluator: the serving-time form of a Query. The
-// expression tree is compiled once — at registration, or once per
-// control-plane epoch in the streaming runtime — into
+// Plan is a compiled query evaluator and the only way the system evaluates
+// a pattern. The expression tree is compiled once — at registration, or
+// once per control-plane epoch in the streaming runtime — into
 //
 //   - a required-type set: event types that must all be present for the
 //     pattern to possibly match, letting the hot path skip windows that
 //     cannot answer true with a handful of map lookups;
-//   - a flat postfix program over presence indicators, replacing the
-//     recursive EvalIndicators interpreter (no tree re-traversal, no
-//     interface dispatch, no allocation per evaluation);
+//   - a flat postfix program over presence indicators (no tree
+//     re-traversal, no interface dispatch, no allocation per evaluation),
+//     equivalent to the reference interpreter EvalIndicators;
 //   - for Seq-of-Atom patterns, a pool of incremental NFA matchers for
 //     concrete-window detection with early exit on the first instance.
 //
@@ -32,10 +34,6 @@ type Plan struct {
 	// Min > 1, whose repetition count a released existence bit cannot
 	// witness), 0 when the answer depends on the indicators.
 	constVal int8
-	// conjunctive marks patterns whose indicator answer is exactly "all
-	// required types present" (trees of SEQ/AND over atoms): for those the
-	// required-set check is the whole evaluation and prog stays nil.
-	conjunctive bool
 	// required are the types that must all be present, under indicator
 	// semantics, for the pattern to possibly match.
 	required []event.Type
@@ -43,23 +41,20 @@ type Plan struct {
 	// (TIMES is satisfiable there, so the sets can differ).
 	requiredWindow []event.Type
 
-	// prog is the postfix indicator program; types is its operand table.
-	prog     []planInstr
-	types    []event.Type
-	stackCap int
+	// ind is the indicator program, one leaf per distinct type. It is nil
+	// for constant patterns and for trees of SEQ/AND over atoms, whose
+	// answer is exactly "all required types present".
+	ind *program
 
-	// winAtoms/winProg are the concrete-window counterpart of prog for
-	// patterns whose window answer is order-free — no SEQ or TIMES node,
-	// only AND/OR/NEG over (predicated) atoms. winAtoms lists the pattern's
-	// atom leaves; winProg is a postfix program over their per-window match
-	// bits. Because each leaf's "some event matches" bit is mergeable by OR
-	// across stream panes, sliding evaluators answer such patterns from
+	// win is the concrete-window counterpart of ind for patterns whose
+	// window answer is order-free — no SEQ or TIMES node, only AND/OR/NEG
+	// over (predicated) atoms — with one leaf per atom: leaf i's value is
+	// "some window event matches atom i". That bit is mergeable by OR
+	// across stream panes, so sliding evaluators answer such patterns from
 	// per-pane partial bitsets in O(panes) per window instead of
 	// re-scanning events (see Plan.Sliding). nil when the pattern needs
 	// order or counting (or has more than 64 leaves).
-	winAtoms    []*Atom
-	winProg     []planInstr
-	winStackCap int
+	win *program
 
 	// seq is non-nil for Seq-of-Atom patterns; nfas pools compiled
 	// matchers for concrete-window detection.
@@ -72,23 +67,6 @@ type Plan struct {
 	dropped atomic.Uint64
 }
 
-// planInstr is one postfix instruction of the indicator program.
-type planInstr struct {
-	op  planOp
-	arg int32 // type-table index for opPresent; child count for opAll/opAny
-}
-
-type planOp uint8
-
-const (
-	opPresent planOp = iota // push present[types[arg]]
-	opAll                   // pop arg values, push their conjunction
-	opAny                   // pop arg values, push their disjunction
-	opNot                   // negate the top of stack
-	opTrue                  // push true
-	opFalse                 // push false
-)
-
 // Compile validates the query and compiles it into a Plan. opts configure
 // the pooled NFA matchers used for Seq-of-Atom patterns (e.g. WithMaxRuns);
 // they are ignored for other pattern shapes.
@@ -97,7 +75,8 @@ func Compile(q Query, opts ...NFAOption) (*Plan, error) {
 		return nil, err
 	}
 	p := &Plan{query: q, nfaOpts: opts}
-	n := lowerIndicator(q.Pattern)
+	l := &lowering{}
+	n := l.lower(q.Pattern)
 	switch n.kind {
 	case pTrue:
 		p.constVal = 1
@@ -105,17 +84,21 @@ func Compile(q Query, opts ...NFAOption) (*Plan, error) {
 		p.constVal = -1
 	default:
 		p.required = requiredTypes(n)
-		if conjunctiveOnly(n) {
-			p.conjunctive = true
-		} else {
-			c := &planCompiler{types: make(map[event.Type]int32)}
-			c.emit(n)
-			p.prog, p.types, p.stackCap = c.prog, c.table, c.maxDepth
+		if !conjunctiveOnly(n) {
+			p.ind = compileProgram(n, func(a *Atom) any { return a.Type })
 		}
 	}
-	p.requiredWindow = requiredWindowTypes(q.Pattern)
-	if atoms, prog, depth, ok := windowAtomProgram(q.Pattern); ok {
-		p.winAtoms, p.winProg, p.winStackCap = atoms, prog, depth
+	// Without TIMES both semantics lower to the same tree (SEQ relaxes to
+	// a conjunction under either), so only TIMES needs a second lowering.
+	if l.times {
+		p.requiredWindow = requiredTypes((&lowering{window: true}).lower(q.Pattern))
+	} else {
+		p.requiredWindow = p.required
+		if !l.seq {
+			if prog := compileProgram(n, func(a *Atom) any { return a }); len(prog.leaves) <= 64 {
+				p.win = prog
+			}
+		}
 	}
 	if s, ok := q.Pattern.(*Seq); ok && seqOfAtoms(s) {
 		p.seq = s
@@ -154,8 +137,8 @@ func (p *Plan) RequiredTypes() []event.Type { return p.required }
 func (p *Plan) Dropped() uint64 { return p.dropped.Load() }
 
 // EvalIndicators answers the query over one window's released presence
-// indicators — the compiled counterpart of the EvalIndicators function. It
-// allocates nothing and is safe for concurrent use.
+// indicators, with the same answer as the reference interpreter
+// EvalIndicators. It allocates nothing and is safe for concurrent use.
 func (p *Plan) EvalIndicators(present map[event.Type]bool) bool {
 	if p.constVal != 0 {
 		return p.constVal > 0
@@ -165,41 +148,10 @@ func (p *Plan) EvalIndicators(present map[event.Type]bool) bool {
 			return false
 		}
 	}
-	if p.conjunctive {
+	if p.ind == nil {
 		return true
 	}
-	var scratch [16]bool
-	st := scratch[:0]
-	if p.stackCap > len(scratch) {
-		st = make([]bool, 0, p.stackCap)
-	}
-	for _, in := range p.prog {
-		switch in.op {
-		case opPresent:
-			st = append(st, present[p.types[in.arg]])
-		case opAll:
-			n := len(st) - int(in.arg)
-			v := true
-			for _, b := range st[n:] {
-				v = v && b
-			}
-			st = append(st[:n], v)
-		case opAny:
-			n := len(st) - int(in.arg)
-			v := false
-			for _, b := range st[n:] {
-				v = v || b
-			}
-			st = append(st[:n], v)
-		case opNot:
-			st[len(st)-1] = !st[len(st)-1]
-		case opTrue:
-			st = append(st, true)
-		case opFalse:
-			st = append(st, false)
-		}
-	}
-	return st[0]
+	return p.ind.eval(func(i int32) bool { return present[p.ind.leaves[i].Type] })
 }
 
 // missingRequired reports whether a required type is absent from the window,
@@ -214,10 +166,10 @@ func (p *Plan) missingRequired(w stream.Window) bool {
 }
 
 // EvalWindow answers the query over one concrete window and returns a
-// witness instance when the pattern occurs — the compiled counterpart of
-// the EvalWindow function. Seq-of-Atom patterns run on a pooled incremental
-// NFA with early exit on the first instance; other shapes prune on the
-// required-type set and fall back to the batch evaluator.
+// witness instance when the pattern occurs. Seq-of-Atom patterns run on a
+// pooled incremental NFA with early exit on the first instance; other
+// shapes prune on the required-type set and then walk the expression tree
+// (see Times and Seq for the operator semantics).
 func (p *Plan) EvalWindow(w stream.Window) (bool, []event.Event) {
 	if p.missingRequired(w) {
 		return false, nil
@@ -228,22 +180,14 @@ func (p *Plan) EvalWindow(w stream.Window) (bool, []event.Event) {
 		p.release(m)
 		return ok, witness
 	}
-	return EvalWindow(p.query.Pattern, w)
+	return evalWindow(p.query.Pattern, w)
 }
 
-// DetectWindow is EvalWindow without witness materialization: it answers
-// only whether the pattern occurs in the window.
+// DetectWindow is EvalWindow without the witness: it answers only whether
+// the pattern occurs in the window.
 func (p *Plan) DetectWindow(w stream.Window) bool {
-	if p.missingRequired(w) {
-		return false
-	}
-	if p.seq != nil {
-		m := p.nfas.Get().(*NFA)
-		_, ok := m.FirstMatch(w.Events)
-		p.release(m)
-		return ok
-	}
-	return Detect(p.query.Pattern, w)
+	ok, _ := p.EvalWindow(w)
+	return ok
 }
 
 // release harvests a pooled NFA's eviction counter, resets it, and returns
@@ -267,15 +211,13 @@ func seqOfAtoms(s *Seq) bool {
 	return len(s.Parts) > 0
 }
 
-// --- indicator-semantics lowering ----------------------------------------
+// --- lowering ---------------------------------------------------------------
 
-// pnode is the lowered, constant-folded form of an expression under
-// indicator semantics: SEQ degrades to conjunction (order is not observable
-// in released existence bits) and TIMES folds to its inner expression
-// (Min ≤ 1) or constant false (Min > 1).
+// pnode is the lowered, constant-folded boolean form of an expression: a
+// tree of conjunctions, disjunctions and negations over atom leaves.
 type pnode struct {
 	kind  pkind
-	typ   event.Type
+	atom  *Atom
 	parts []*pnode
 }
 
@@ -295,22 +237,38 @@ var (
 	nodeFalse = &pnode{kind: pFalse}
 )
 
-// lowerIndicator lowers an expression tree to its indicator-semantics form,
-// folding constants so the compiled program never evaluates dead branches.
-// The lowering mirrors EvalIndicators exactly; TestPropertyPlanIndicators
-// asserts the equivalence over randomized expressions.
-func lowerIndicator(e Expr) *pnode {
+// lowering lowers expression trees to pnodes, folding constants so a
+// compiled program never evaluates dead branches.
+//
+// Under indicator semantics (window false) the lowering is exact and mirrors
+// EvalIndicators: SEQ degrades to conjunction, since order is not observable
+// in released existence bits, and TIMES folds to its inner expression
+// (Min ≤ 1) or constant false (Min > 1). TestPropertyPlanIndicators asserts
+// the equivalence over randomized expressions.
+//
+// Under concrete-window semantics (window true) SEQ and TIMES need order
+// and counts, which a boolean tree cannot express. They are relaxed to a
+// conjunction and to the inner expression: the tree then still yields the
+// required types, but it is a valid program only when seq and times, which
+// record whether either operator occurred, are both false.
+type lowering struct {
+	window     bool
+	seq, times bool
+}
+
+func (l *lowering) lower(e Expr) *pnode {
 	switch x := e.(type) {
 	case *Atom:
-		return &pnode{kind: pAtom, typ: x.Type}
+		return &pnode{kind: pAtom, atom: x}
 	case *Seq:
-		return lowerAll(x.Parts)
+		l.seq = true
+		return l.combine(pAll, x.Parts)
 	case *And:
-		return lowerAll(x.Parts)
+		return l.combine(pAll, x.Parts)
 	case *Or:
-		return lowerAny(x.Parts)
+		return l.combine(pAny, x.Parts)
 	case *Neg:
-		inner := lowerIndicator(x.Inner)
+		inner := l.lower(x.Inner)
 		switch inner.kind {
 		case pTrue:
 			return nodeFalse
@@ -321,163 +279,86 @@ func lowerIndicator(e Expr) *pnode {
 		}
 		return &pnode{kind: pNot, parts: []*pnode{inner}}
 	case *Times:
-		if x.Min > 1 {
+		l.times = true
+		if x.Min > 1 && !l.window {
 			// A released existence bit can witness one occurrence at
 			// most (see EvalIndicators).
 			return nodeFalse
 		}
-		return lowerIndicator(x.Inner)
+		// Validate enforces Min >= 1: at least one occurrence of the
+		// inner pattern is needed.
+		return l.lower(x.Inner)
 	default:
 		// Unknown node kinds are rejected by Validate before Compile.
 		panic("cep: unknown expression node in plan lowering")
 	}
 }
 
-func lowerAll(parts []Expr) *pnode {
+// combine lowers a conjunction (kind pAll) or disjunction (pAny) of parts.
+// A part equal to the operator's identity is dropped; a part equal to its
+// absorbing element decides the whole node.
+func (l *lowering) combine(kind pkind, parts []Expr) *pnode {
+	identity, absorbing := nodeTrue, nodeFalse
+	if kind == pAny {
+		identity, absorbing = nodeFalse, nodeTrue
+	}
 	out := make([]*pnode, 0, len(parts))
 	for _, part := range parts {
-		n := lowerIndicator(part)
-		switch n.kind {
-		case pTrue:
+		n := l.lower(part)
+		switch n {
+		case identity:
 			continue
-		case pFalse:
-			return nodeFalse
+		case absorbing:
+			return absorbing
 		}
 		out = append(out, n)
 	}
 	switch len(out) {
 	case 0:
-		return nodeTrue
+		return identity
 	case 1:
 		return out[0]
 	}
-	return &pnode{kind: pAll, parts: out}
+	return &pnode{kind: kind, parts: out}
 }
 
-func lowerAny(parts []Expr) *pnode {
-	out := make([]*pnode, 0, len(parts))
-	for _, part := range parts {
-		n := lowerIndicator(part)
-		switch n.kind {
-		case pFalse:
-			continue
-		case pTrue:
-			return nodeTrue
-		}
-		out = append(out, n)
-	}
-	switch len(out) {
-	case 0:
-		return nodeFalse
-	case 1:
-		return out[0]
-	}
-	return &pnode{kind: pAny, parts: out}
-}
-
-// requiredTypes computes the types that must all be present for the lowered
-// pattern to possibly match: an atom requires its type, a conjunction the
-// union over its parts, a disjunction the intersection (only a type every
-// branch needs is truly required), and a negation nothing (it can match an
-// empty window).
+// requiredTypes computes the sorted types that must all be present for the
+// lowered pattern to possibly match: an atom requires its type, a
+// conjunction the union over its parts, a disjunction the intersection
+// (only a type every branch needs is truly required), and a negation
+// nothing (it can match an empty window). Predicates only narrow an atom,
+// so its type stays required.
 func requiredTypes(n *pnode) []event.Type {
-	set := requiredSet(n)
+	set := make(map[event.Type]bool)
+	addRequired(set, n)
 	out := make([]event.Type, 0, len(set))
 	for t := range set {
 		out = append(out, t)
 	}
-	sortTypes(out)
+	slices.Sort(out)
 	return out
 }
 
-func requiredSet(n *pnode) map[event.Type]bool {
+// addRequired adds the types n requires to set.
+func addRequired(set map[event.Type]bool, n *pnode) {
 	switch n.kind {
 	case pAtom:
-		return map[event.Type]bool{n.typ: true}
+		set[n.atom.Type] = true
 	case pAll:
-		out := make(map[event.Type]bool)
 		for _, part := range n.parts {
-			for t := range requiredSet(part) {
-				out[t] = true
-			}
+			addRequired(set, part)
 		}
-		return out
 	case pAny:
-		out := requiredSet(n.parts[0])
+		common := make(map[event.Type]bool)
+		addRequired(common, n.parts[0])
 		for _, part := range n.parts[1:] {
-			sub := requiredSet(part)
-			for t := range out {
-				if !sub[t] {
-					delete(out, t)
-				}
-			}
+			sub := make(map[event.Type]bool)
+			addRequired(sub, part)
+			maps.DeleteFunc(common, func(t event.Type, _ bool) bool { return !sub[t] })
 		}
-		return out
-	default: // pNot, pTrue, pFalse
-		return nil
+		maps.Copy(set, common)
 	}
-}
-
-// requiredWindowTypes is requiredTypes under concrete-window semantics,
-// computed from the original expression: TIMES is satisfiable there (its
-// occurrences still need the inner pattern's required types), and predicates
-// only narrow an atom, so its type stays required.
-func requiredWindowTypes(e Expr) []event.Type {
-	set := requiredWindowSet(e)
-	out := make([]event.Type, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sortTypes(out)
-	return out
-}
-
-func requiredWindowSet(e Expr) map[event.Type]bool {
-	switch x := e.(type) {
-	case *Atom:
-		return map[event.Type]bool{x.Type: true}
-	case *Seq:
-		return unionRequiredWindow(x.Parts)
-	case *And:
-		return unionRequiredWindow(x.Parts)
-	case *Or:
-		out := requiredWindowSet(x.Parts[0])
-		for _, part := range x.Parts[1:] {
-			sub := requiredWindowSet(part)
-			for t := range out {
-				if !sub[t] {
-					delete(out, t)
-				}
-			}
-		}
-		return out
-	case *Neg:
-		return nil
-	case *Times:
-		// Validate enforces Min >= 1: at least one occurrence of the
-		// inner pattern is needed, hence its required types are too.
-		return requiredWindowSet(x.Inner)
-	default:
-		panic("cep: unknown expression node in plan lowering")
-	}
-}
-
-func unionRequiredWindow(parts []Expr) map[event.Type]bool {
-	out := make(map[event.Type]bool)
-	for _, part := range parts {
-		for t := range requiredWindowSet(part) {
-			out[t] = true
-		}
-	}
-	return out
-}
-
-func sortTypes(ts []event.Type) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j] < ts[j-1]; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
+	// pNot, pTrue and pFalse require nothing.
 }
 
 // conjunctiveOnly reports whether the lowered pattern is a pure conjunction
@@ -499,153 +380,103 @@ func conjunctiveOnly(n *pnode) bool {
 	}
 }
 
-// --- program emission -----------------------------------------------------
+// --- programs ---------------------------------------------------------------
 
-type planCompiler struct {
-	prog     []planInstr
-	table    []event.Type
-	types    map[event.Type]int32
-	depth    int
-	maxDepth int
+// program is a flat postfix form of a lowered, non-constant pnode tree. The
+// VM reads leaf values through a caller-supplied function, so one program
+// format serves both released indicators (a leaf is its type's presence
+// bit) and concrete-window leaf bitsets.
+type program struct {
+	instrs   []planInstr
+	leaves   []*Atom // operand table indexed by opLeaf's arg
+	stackCap int
 }
 
-func (c *planCompiler) push(in planInstr, delta int) {
-	c.prog = append(c.prog, in)
+// planInstr is one postfix instruction.
+type planInstr struct {
+	op  planOp
+	arg int32 // leaf index for opLeaf; child count for opAll/opAny
+}
+
+type planOp uint8
+
+const (
+	opLeaf planOp = iota // push the value of leaves[arg]
+	opAll                // pop arg values, push their conjunction
+	opAny                // pop arg values, push their disjunction
+	opNot                // negate the top of stack
+)
+
+// compileProgram emits the postfix program of a lowered tree whose root is
+// not constant (constants fold away below the root). Leaves whose key is
+// equal share one operand slot.
+func compileProgram(n *pnode, key func(*Atom) any) *program {
+	c := &emitter{prog: &program{}, key: key, slots: make(map[any]int32)}
+	c.emit(n)
+	return c.prog
+}
+
+type emitter struct {
+	prog  *program
+	key   func(*Atom) any
+	slots map[any]int32
+	depth int
+}
+
+func (c *emitter) push(in planInstr, delta int) {
+	c.prog.instrs = append(c.prog.instrs, in)
 	c.depth += delta
-	if c.depth > c.maxDepth {
-		c.maxDepth = c.depth
-	}
+	c.prog.stackCap = max(c.prog.stackCap, c.depth)
 }
 
-func (c *planCompiler) typeIndex(t event.Type) int32 {
-	if i, ok := c.types[t]; ok {
-		return i
-	}
-	i := int32(len(c.table))
-	c.table = append(c.table, t)
-	c.types[t] = i
-	return i
-}
-
-// windowAtomProgram compiles an expression into a postfix program over
-// atom-leaf match bits, valid under concrete-window semantics: it exists
-// exactly when the window answer is a pure boolean combination of "some
-// event in the window matches leaf i" — i.e. the tree holds only AND/OR/NEG
-// over atoms. SEQ needs order and TIMES needs counts, so their presence (or
-// more than 64 leaves, the bitset width) returns ok == false.
-func windowAtomProgram(e Expr) (atoms []*Atom, prog []planInstr, stackCap int, ok bool) {
-	c := &winCompiler{}
-	if !c.emit(e) || len(c.atoms) > 64 {
-		return nil, nil, 0, false
-	}
-	return c.atoms, c.prog, c.maxDepth, true
-}
-
-type winCompiler struct {
-	atoms    []*Atom
-	prog     []planInstr
-	depth    int
-	maxDepth int
-}
-
-func (c *winCompiler) push(in planInstr, delta int) {
-	c.prog = append(c.prog, in)
-	c.depth += delta
-	if c.depth > c.maxDepth {
-		c.maxDepth = c.depth
-	}
-}
-
-func (c *winCompiler) emit(e Expr) bool {
-	switch x := e.(type) {
-	case *Atom:
-		c.push(planInstr{op: opPresent, arg: int32(len(c.atoms))}, 1)
-		c.atoms = append(c.atoms, x)
-		return true
-	case *And:
-		for _, p := range x.Parts {
-			if !c.emit(p) {
-				return false
-			}
-		}
-		c.push(planInstr{op: opAll, arg: int32(len(x.Parts))}, 1-len(x.Parts))
-		return true
-	case *Or:
-		for _, p := range x.Parts {
-			if !c.emit(p) {
-				return false
-			}
-		}
-		c.push(planInstr{op: opAny, arg: int32(len(x.Parts))}, 1-len(x.Parts))
-		return true
-	case *Neg:
-		if !c.emit(x.Inner) {
-			return false
-		}
-		c.push(planInstr{op: opNot}, 0)
-		return true
-	default: // *Seq, *Times: order or counting — not bit-mergeable
-		return false
-	}
-}
-
-// evalWindowBits runs the window atom program over a bitset of per-leaf
-// match bits (bit i set iff some window event matches winAtoms[i]).
-func (p *Plan) evalWindowBits(bits uint64) bool {
-	var scratch [16]bool
-	st := scratch[:0]
-	if p.winStackCap > len(scratch) {
-		st = make([]bool, 0, p.winStackCap)
-	}
-	for _, in := range p.winProg {
-		switch in.op {
-		case opPresent:
-			st = append(st, bits&(1<<uint(in.arg)) != 0)
-		case opAll:
-			n := len(st) - int(in.arg)
-			v := true
-			for _, b := range st[n:] {
-				v = v && b
-			}
-			st = append(st[:n], v)
-		case opAny:
-			n := len(st) - int(in.arg)
-			v := false
-			for _, b := range st[n:] {
-				v = v || b
-			}
-			st = append(st[:n], v)
-		case opNot:
-			st[len(st)-1] = !st[len(st)-1]
-		case opTrue:
-			st = append(st, true)
-		case opFalse:
-			st = append(st, false)
-		}
-	}
-	return st[0]
-}
-
-func (c *planCompiler) emit(n *pnode) {
+func (c *emitter) emit(n *pnode) {
 	switch n.kind {
 	case pAtom:
-		c.push(planInstr{op: opPresent, arg: c.typeIndex(n.typ)}, 1)
-	case pAll:
+		k := c.key(n.atom)
+		i, ok := c.slots[k]
+		if !ok {
+			i = int32(len(c.prog.leaves))
+			c.prog.leaves = append(c.prog.leaves, n.atom)
+			c.slots[k] = i
+		}
+		c.push(planInstr{op: opLeaf, arg: i}, 1)
+	case pAll, pAny:
 		for _, part := range n.parts {
 			c.emit(part)
 		}
-		c.push(planInstr{op: opAll, arg: int32(len(n.parts))}, 1-len(n.parts))
-	case pAny:
-		for _, part := range n.parts {
-			c.emit(part)
+		op := opAll
+		if n.kind == pAny {
+			op = opAny
 		}
-		c.push(planInstr{op: opAny, arg: int32(len(n.parts))}, 1-len(n.parts))
+		c.push(planInstr{op: op, arg: int32(len(n.parts))}, 1-len(n.parts))
 	case pNot:
 		c.emit(n.parts[0])
 		c.push(planInstr{op: opNot}, 0)
-	case pTrue:
-		c.push(planInstr{op: opTrue}, 1)
-	case pFalse:
-		c.push(planInstr{op: opFalse}, 1)
+	default:
+		panic("cep: constant node below the root of a lowered tree")
 	}
+}
+
+// eval runs the program; leaf reports the value of operand i.
+func (pr *program) eval(leaf func(i int32) bool) bool {
+	var scratch [16]bool
+	st := scratch[:0]
+	if pr.stackCap > len(scratch) {
+		st = make([]bool, 0, pr.stackCap)
+	}
+	for _, in := range pr.instrs {
+		switch in.op {
+		case opLeaf:
+			st = append(st, leaf(in.arg))
+		case opAll:
+			n := len(st) - int(in.arg)
+			st = append(st[:n], !slices.Contains(st[n:], false))
+		case opAny:
+			n := len(st) - int(in.arg)
+			st = append(st[:n], slices.Contains(st[n:], true))
+		case opNot:
+			st[len(st)-1] = !st[len(st)-1]
+		}
+	}
+	return st[0]
 }

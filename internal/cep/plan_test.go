@@ -69,36 +69,70 @@ func TestPropertyPlanIndicators(t *testing.T) {
 	}
 }
 
+// randomSeqComposite builds a SEQ whose parts are composite expressions —
+// OR, NEG, TIMES and AND over random subtrees, plus plain atoms — the shapes
+// the walker handles as sequence heads.
+func randomSeqComposite(rng *rand.Rand, depth int) Expr {
+	parts := make([]Expr, 1+rng.Intn(3))
+	for i := range parts {
+		sub := func() Expr { return randomExprTimes(rng, depth-1) }
+		switch rng.Intn(5) {
+		case 0:
+			parts[i] = OrOf(sub(), sub())
+		case 1:
+			parts[i] = NegOf(sub())
+		case 2:
+			parts[i] = TimesOf(sub(), 1+rng.Intn(2), 0)
+		case 3:
+			parts[i] = AndOf(sub(), sub())
+		default:
+			parts[i] = E(event.Type(rune('a' + rng.Intn(4))))
+		}
+	}
+	return SeqOf(parts...)
+}
+
+// checkPlanWindow reports whether the plan's concrete-window answers agree
+// with the walker's on w: the same verdict from EvalWindow and DetectWindow,
+// the walker's witness exactly when the plan walks the tree, and a real,
+// ordered instance when it runs a pooled NFA instead.
+func checkPlanWindow(e Expr, w stream.Window) error {
+	want, wantWitness := evalWindow(e, w)
+	p, err := Compile(Query{Name: "q", Pattern: e, Window: 100})
+	if err != nil {
+		return err
+	}
+	got, witness := p.EvalWindow(w)
+	if detect := p.DetectWindow(w); got != want || detect != want {
+		return fmt.Errorf("%s: plan %t, detect %t, walker %t", e, got, detect, want)
+	}
+	if p.seq == nil {
+		if fmt.Sprint(witness) != fmt.Sprint(wantWitness) {
+			return fmt.Errorf("%s: plan witness %v, walker %v", e, witness, wantWitness)
+		}
+		return nil
+	}
+	if got && len(witness) != len(p.seq.Parts) {
+		return fmt.Errorf("%s: NFA witness %v has the wrong length", e, witness)
+	}
+	for i, ev := range witness {
+		if !p.seq.Parts[i].(*Atom).Matches(ev) || i > 0 && witness[i-1].Time >= ev.Time {
+			return fmt.Errorf("%s: NFA witness %v is not an ordered instance", e, witness)
+		}
+	}
+	return nil
+}
+
 // TestPropertyPlanWindow asserts that the compiled plan's concrete-window
-// answer (required-type pruning, pooled NFA for sequences, detect-only
-// split) equals the EvalWindow interpreter's, and that Detect agrees too.
+// answers (required-type pruning, pooled NFA for sequences, the walker
+// otherwise) agree with the walker over random expressions of the full
+// operator set.
 func TestPropertyPlanWindow(t *testing.T) {
 	f := func(shape uint32, depth uint8, raw []byte) bool {
 		rng := rand.New(rand.NewSource(int64(shape)))
-		e := randomExprTimes(rng, int(depth%3))
-		w := randomWindow(raw)
-		want, _ := EvalWindow(e, w)
-		p, err := Compile(Query{Name: "q", Pattern: e, Window: 100})
-		if err != nil {
+		if err := checkPlanWindow(randomExprTimes(rng, int(depth%3)), randomWindow(raw)); err != nil {
+			t.Log(err)
 			return false
-		}
-		got, witness := p.EvalWindow(w)
-		if got != want || got != p.DetectWindow(w) || got != Detect(e, w) {
-			return false
-		}
-		// A sequence plan's witness must be a real, ordered instance.
-		if got && p.seq != nil {
-			if len(witness) != len(p.seq.Parts) {
-				return false
-			}
-			for i, ev := range witness {
-				if !p.seq.Parts[i].(*Atom).Matches(ev) {
-					return false
-				}
-				if i > 0 && witness[i-1].Time >= ev.Time {
-					return false
-				}
-			}
 		}
 		return true
 	}
@@ -108,19 +142,116 @@ func TestPropertyPlanWindow(t *testing.T) {
 	}
 }
 
-// TestPropertyDetectMatchesEvalWindow pins the detect-only split to the
-// witness path over random expressions and windows.
+// TestPropertyDetectMatchesEvalWindow is TestPropertyPlanWindow over
+// sequences of composite parts — NEG, OR, TIMES and AND under SEQ — where
+// the walker's sequence search does the work.
 func TestPropertyDetectMatchesEvalWindow(t *testing.T) {
 	f := func(shape uint32, depth uint8, raw []byte) bool {
 		rng := rand.New(rand.NewSource(int64(shape)))
-		e := randomExprTimes(rng, int(depth%3))
-		w := randomWindow(raw)
-		want, _ := EvalWindow(e, w)
-		return Detect(e, w) == want
+		if err := checkPlanWindow(randomSeqComposite(rng, int(depth%3)), randomWindow(raw)); err != nil {
+			t.Log(err)
+			return false
+		}
+		return true
 	}
-	cfg := &quick.Config{MaxCount: 300}
+	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(3))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPropertySeqOfAlternativesMatchesGreedy checks sequences whose parts
+// are atoms or ORs of atoms against an oracle that does not share the
+// walker's code: for single-event parts, greedily taking each part's
+// earliest event after the previous one finds a match iff one exists.
+func TestPropertySeqOfAlternativesMatchesGreedy(t *testing.T) {
+	f := func(shape uint32, raw []byte) bool {
+		rng := rand.New(rand.NewSource(int64(shape)))
+		atom := func() *Atom { return E(event.Type(rune('a' + rng.Intn(4)))) }
+		parts := make([]Expr, 1+rng.Intn(3))
+		alts := make([][]*Atom, len(parts))
+		for i := range parts {
+			alts[i] = []*Atom{atom()}
+			parts[i] = alts[i][0]
+			if rng.Intn(2) == 0 {
+				alts[i] = append(alts[i], atom())
+				parts[i] = OrOf(alts[i][0], alts[i][1])
+			}
+		}
+		w := randomWindow(raw)
+		want, k := true, 0
+		after := event.Timestamp(-1)
+		for _, alt := range alts {
+			for k < len(w.Events) && !(w.Events[k].Time > after && (alt[0].Matches(w.Events[k]) || len(alt) > 1 && alt[1].Matches(w.Events[k]))) {
+				k++
+			}
+			if k == len(w.Events) {
+				want = false
+				break
+			}
+			after = w.Events[k].Time
+		}
+		e := SeqOf(parts...)
+		if got := mustPlan(t, e).DetectWindow(w); got != want {
+			t.Logf("%s over %v: plan %t, greedy %t", e, w.Events, got, want)
+			return false
+		}
+		return checkPlanWindow(e, w) == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(4))}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSeqOrHeadTriesEveryPart is the regression test for a SEQ whose head
+// is an OR: the walker must try every OR part as the sequence head, not
+// commit to the first part that occurs somewhere in the window.
+func TestSeqOrHeadTriesEveryPart(t *testing.T) {
+	w := stream.Window{Start: 0, End: 10, Events: []event.Event{
+		event.New("b", 1), event.New("c", 2), event.New("a", 3),
+	}}
+	q := Query{Name: "q", Pattern: SeqOf(OrOf(E("a"), E("b")), E("c")), Window: 10}
+	p := mustPlan(t, q.Pattern)
+	ok, witness := p.EvalWindow(w)
+	if !ok || fmt.Sprint(witness) != fmt.Sprint(w.Events[:2]) {
+		t.Errorf("EvalWindow = %t %v, want b@1 -> c@2", ok, witness)
+	}
+	if !p.DetectWindow(w) {
+		t.Error("DetectWindow: want detected")
+	}
+	g := NewEngine()
+	if err := g.Register(q); err != nil {
+		t.Fatal(err)
+	}
+	if ds := g.EvaluateWindow(w); len(ds) != 1 || !ds[0].Detected {
+		t.Errorf("EvaluateWindow = %+v, want detected", ds)
+	}
+	// A later OR part is a head too: SEQ(a, OR(b, c), d).
+	w2 := stream.Window{Start: 0, End: 10, Events: []event.Event{
+		event.New("a", 1), event.New("b", 2), event.New("d", 3), event.New("c", 4),
+	}}
+	if !mustPlan(t, SeqOf(E("a"), OrOf(E("c"), E("b")), E("d"))).DetectWindow(w2) {
+		t.Error("SEQ(a, OR(c, b), d): want detected")
+	}
+	// The witness of a top-level OR stays the first matching part's.
+	if _, witness := mustPlan(t, OrOf(E("a"), E("b"))).EvalWindow(w); fmt.Sprint(witness) != fmt.Sprint(w.Events[2:]) {
+		t.Errorf("OR(a, b) witness = %v, want a@3", witness)
+	}
+}
+
+// TestSeqTimesConsumesEveryOccurrence pins the documented TIMES behaviour
+// under SEQ: the next part must follow the last counted occurrence.
+func TestSeqTimesConsumesEveryOccurrence(t *testing.T) {
+	p := mustPlan(t, SeqOf(TimesOf(E("a"), 1, 0), E("c")))
+	w := stream.Window{Start: 0, End: 10, Events: []event.Event{
+		event.New("a", 1), event.New("c", 2), event.New("a", 3),
+	}}
+	if p.DetectWindow(w) {
+		t.Error("c before the last a: want not detected")
+	}
+	w.Events = []event.Event{event.New("a", 1), event.New("a", 2), event.New("c", 3)}
+	if ok, witness := p.EvalWindow(w); !ok || len(witness) != 3 {
+		t.Errorf("EvalWindow = %t %v, want both a's then c", ok, witness)
 	}
 }
 
@@ -185,8 +316,8 @@ func TestPlanRequiredTypes(t *testing.T) {
 // patterns answer from the required-type check alone.
 func TestPlanConjunctiveNoProgram(t *testing.T) {
 	p := mustPlan(t, SeqOf(E("a"), AndOf(E("b"), E("c"))))
-	if !p.conjunctive || p.prog != nil {
-		t.Fatalf("conjunctive = %t, prog = %v; want conjunctive fast path", p.conjunctive, p.prog)
+	if p.ind != nil {
+		t.Fatalf("indicator program = %+v; want conjunctive fast path", p.ind)
 	}
 	if !p.EvalIndicators(map[event.Type]bool{"a": true, "b": true, "c": true}) {
 		t.Error("all present: want detected")

@@ -98,14 +98,14 @@ func TestPredicateInSeqEvaluation(t *testing.T) {
 		event.New("fix", 1).WithAttr("speed", event.Float(30)),
 		event.New("fix", 2).WithAttr("speed", event.Float(1)),
 	)
-	if ok, _ := EvalWindow(expr, w); !ok {
+	if ok, _ := evalWindow(expr, w); !ok {
 		t.Error("predicate sequence should match")
 	}
 	w2 := win(
 		event.New("fix", 1).WithAttr("speed", event.Float(1)),
 		event.New("fix", 2).WithAttr("speed", event.Float(30)),
 	)
-	if ok, _ := EvalWindow(expr, w2); ok {
+	if ok, _ := evalWindow(expr, w2); ok {
 		t.Error("reversed predicate sequence matched")
 	}
 }

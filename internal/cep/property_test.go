@@ -36,8 +36,8 @@ func TestPropertyNegIsComplement(t *testing.T) {
 	f := func(raw []byte) bool {
 		w := randomWindow(raw)
 		e := SeqTypes("a", "b")
-		pos, _ := EvalWindow(e, w)
-		neg, _ := EvalWindow(NegOf(e), w)
+		pos, _ := evalWindow(e, w)
+		neg, _ := evalWindow(NegOf(e), w)
 		return pos != neg
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -51,7 +51,7 @@ func TestPropertyNFAAgreesWithEvaluator(t *testing.T) {
 	f := func(raw []byte) bool {
 		w := randomWindow(raw)
 		seq := SeqTypes("a", "b", "c")
-		evalOK, _ := EvalWindow(seq, w)
+		evalOK, _ := evalWindow(seq, w)
 		m, err := CompileSeq("q", seq, 0)
 		if err != nil {
 			return false
@@ -68,7 +68,7 @@ func TestPropertyNFAAgreesWithEvaluator(t *testing.T) {
 func TestPropertyWitnessIsOrderedAndInWindow(t *testing.T) {
 	f := func(raw []byte) bool {
 		w := randomWindow(raw)
-		ok, witness := EvalWindow(SeqTypes("a", "b"), w)
+		ok, witness := evalWindow(SeqTypes("a", "b"), w)
 		if !ok {
 			return len(witness) == 0
 		}
@@ -94,8 +94,8 @@ func TestPropertyOrMonotone(t *testing.T) {
 	// Adding a disjunct never turns a match into a non-match.
 	f := func(raw []byte) bool {
 		w := randomWindow(raw)
-		base, _ := EvalWindow(OrOf(E("a"), E("b")), w)
-		wider, _ := EvalWindow(OrOf(E("a"), E("b"), E("c")), w)
+		base, _ := evalWindow(OrOf(E("a"), E("b")), w)
+		wider, _ := evalWindow(OrOf(E("a"), E("b"), E("c")), w)
 		return !base || wider
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"patterndp/internal/cep"
 	"patterndp/internal/event"
 )
 
@@ -41,14 +40,14 @@ func EstimateCorrelations(history []IndicatorWindow, pt PatternType, candidates 
 		return nil, fmt.Errorf("core: no historical windows")
 	}
 	elements := pt.ElementSet()
-	expr := pt.Expr()
+	plan := indicatorPlan(pt.Expr())
 	n := float64(len(history))
 
 	// Pattern presence per window.
 	patPresent := make([]bool, len(history))
 	patCount := 0.0
 	for i, w := range history {
-		patPresent[i] = cep.EvalIndicators(expr, w.Present)
+		patPresent[i] = plan.EvalIndicators(w.Present)
 		if patPresent[i] {
 			patCount++
 		}

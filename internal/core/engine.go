@@ -71,16 +71,13 @@ type planSet struct {
 }
 
 // buildPlanSet compiles the serving state for a sorted target snapshot.
-// Queries are validated at registration, so compilation cannot fail; a
-// defensive nil plan falls back to the tree interpreter in the answer loop.
+// Queries are validated at registration, so compilation cannot fail.
 func buildPlanSet(private []PatternType, targets []cep.Query, plans []*cep.Plan) *planSet {
 	ps := &planSet{targets: targets, plans: plans}
 	if ps.plans == nil {
 		ps.plans = make([]*cep.Plan, len(targets))
 		for i, q := range targets {
-			if p, err := cep.Compile(q); err == nil {
-				ps.plans[i] = p
-			}
+			ps.plans[i] = cep.MustCompile(q)
 		}
 	}
 	seen := make(map[event.Type]bool)
@@ -433,17 +430,11 @@ func (pe *PrivateEngine) ProcessWindowsInto(dst []Answer, ws []stream.Window) ([
 	for i, w := range ws {
 		rel := released[i]
 		for j, q := range ps.targets {
-			detected := false
-			if p := ps.plans[j]; p != nil {
-				detected = p.EvalIndicators(rel)
-			} else {
-				detected = cep.EvalIndicators(q.Pattern, rel)
-			}
 			dst = append(dst, Answer{
 				Query:       q.Name,
 				WindowIndex: i,
 				Window:      w,
-				Detected:    detected,
+				Detected:    ps.plans[j].EvalIndicators(rel),
 			})
 		}
 	}

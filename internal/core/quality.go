@@ -22,11 +22,31 @@ const maxExactTypes = 12
 // expr references (exact for up to maxExactTypes such types) and therefore
 // handles arbitrary expressions, including types that occur several times.
 // Beyond the bound it estimates by sampling with rng (which must be non-nil
-// in that case).
+// in that case). expr must be valid (see cep.Query.Validate); it is
+// compiled to a cep.Plan once per call.
 func DetectionProbability(expr cep.Expr, truth map[event.Type]bool, flip map[event.Type]float64, rng *rand.Rand) float64 {
+	return detectionProbability(indicatorPlan(expr), truth, flip, rng)
+}
+
+// indicatorPlan compiles an expression for answering over indicators. The
+// expressions come from validated queries and pattern types, so compiling
+// them cannot fail.
+func indicatorPlan(expr cep.Expr) *cep.Plan {
+	return cep.MustCompile(cep.Query{Name: "expr", Pattern: expr, Window: 1})
+}
+
+func indicatorPlans(exprs []cep.Expr) []*cep.Plan {
+	plans := make([]*cep.Plan, len(exprs))
+	for i, e := range exprs {
+		plans[i] = indicatorPlan(e)
+	}
+	return plans
+}
+
+func detectionProbability(plan *cep.Plan, truth map[event.Type]bool, flip map[event.Type]float64, rng *rand.Rand) float64 {
 	// Collect the perturbed types the expression actually references.
 	var perturbed []event.Type
-	for _, t := range expr.Types() {
+	for _, t := range plan.Query().Pattern.Types() {
 		if p := flip[t]; p > 0 {
 			perturbed = append(perturbed, t)
 		}
@@ -34,19 +54,19 @@ func DetectionProbability(expr cep.Expr, truth map[event.Type]bool, flip map[eve
 	sort.Slice(perturbed, func(i, j int) bool { return perturbed[i] < perturbed[j] })
 
 	if len(perturbed) == 0 {
-		if cep.EvalIndicators(expr, truth) {
+		if plan.EvalIndicators(truth) {
 			return 1
 		}
 		return 0
 	}
 
 	if len(perturbed) <= maxExactTypes {
-		return exactDetectionProbability(expr, truth, flip, perturbed)
+		return exactDetectionProbability(plan, truth, flip, perturbed)
 	}
-	return sampledDetectionProbability(expr, truth, flip, rng)
+	return sampledDetectionProbability(plan, truth, flip, rng)
 }
 
-func exactDetectionProbability(expr cep.Expr, truth map[event.Type]bool, flip map[event.Type]float64, perturbed []event.Type) float64 {
+func exactDetectionProbability(plan *cep.Plan, truth map[event.Type]bool, flip map[event.Type]float64, perturbed []event.Type) float64 {
 	released := make(map[event.Type]bool, len(truth))
 	for k, v := range truth {
 		released[k] = v
@@ -69,14 +89,14 @@ func exactDetectionProbability(expr cep.Expr, truth map[event.Type]bool, flip ma
 		if w == 0 {
 			continue
 		}
-		if cep.EvalIndicators(expr, released) {
+		if plan.EvalIndicators(released) {
 			total += w
 		}
 	}
 	return total
 }
 
-func sampledDetectionProbability(expr cep.Expr, truth map[event.Type]bool, flip map[event.Type]float64, rng *rand.Rand) float64 {
+func sampledDetectionProbability(plan *cep.Plan, truth map[event.Type]bool, flip map[event.Type]float64, rng *rand.Rand) float64 {
 	const samples = 4096
 	released := make(map[event.Type]bool, len(truth))
 	keys := SortedTypes(truth)
@@ -89,7 +109,7 @@ func sampledDetectionProbability(expr cep.Expr, truth map[event.Type]bool, flip 
 				released[k] = truth[k]
 			}
 		}
-		if cep.EvalIndicators(expr, released) {
+		if plan.EvalIndicators(released) {
 			hits++
 		}
 	}
@@ -143,10 +163,11 @@ func (c ExpectedConfusion) Q(alpha float64) float64 {
 // DESIGN.md).
 func ExpectedQuality(wins []IndicatorWindow, targets []cep.Expr, flip map[event.Type]float64, alpha float64, rng *rand.Rand) float64 {
 	var c ExpectedConfusion
+	plans := indicatorPlans(targets)
 	for _, w := range wins {
-		for _, target := range targets {
-			truth := cep.EvalIndicators(target, w.Present)
-			pDetect := DetectionProbability(target, w.Present, flip, rng)
+		for _, p := range plans {
+			truth := p.EvalIndicators(w.Present)
+			pDetect := detectionProbability(p, w.Present, flip, rng)
 			if truth {
 				c.TP += pDetect
 				c.FN += 1 - pDetect
@@ -165,10 +186,11 @@ func ExpectedQuality(wins []IndicatorWindow, targets []cep.Expr, flip map[event.
 // indicators, reports from the released ones.
 func MeasuredQuality(wins []IndicatorWindow, released []map[event.Type]bool, targets []cep.Expr, alpha float64) (float64, metrics.Confusion) {
 	var c metrics.Confusion
+	plans := indicatorPlans(targets)
 	for i, w := range wins {
-		for _, target := range targets {
-			truth := cep.EvalIndicators(target, w.Present)
-			reported := cep.EvalIndicators(target, released[i])
+		for _, p := range plans {
+			truth := p.EvalIndicators(w.Present)
+			reported := p.EvalIndicators(released[i])
 			c.Add(truth, reported)
 		}
 	}

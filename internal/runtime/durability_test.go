@@ -382,11 +382,6 @@ func TestDurabilityValidation(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
 		"empty dir":     func(c *Config) { c.Durability = &DurabilityConfig{} },
 		"negative ckpt": func(c *Config) { c.Durability = &DurabilityConfig{Dir: "x", CheckpointEvery: -1} },
-		"naive sliding": func(c *Config) {
-			c.Durability = &DurabilityConfig{Dir: "x"}
-			c.Slide = 5
-			c.NaiveSliding = true
-		},
 	} {
 		cfg := base
 		mutate(&cfg)

@@ -170,14 +170,6 @@ type Config struct {
 	// BudgetDeny (default), BudgetSuppress, BudgetThrottle, or
 	// BudgetRotateEpoch. See the account package for the exact semantics.
 	BudgetPolicy BudgetPolicy
-	// NaiveSliding serves sliding windows by brute-force per-window
-	// re-buffering and re-evaluation instead of pane assembly: every event
-	// is copied into each of the WindowWidth/Slide windows covering it and
-	// every window is rescanned from scratch. It exists only as the
-	// benchmark comparison baseline for the pane-sharing path (see
-	// BenchmarkServeWindowHotPath) and assumes in-order input; it has no
-	// effect on tumbling configurations.
-	NaiveSliding bool
 	// Durability, when set, enables the durable-state subsystem: ledger
 	// charges, rotations, and registration changes are written ahead of
 	// publishing, windower and ledger state is checkpointed, and New
@@ -208,9 +200,6 @@ type Config struct {
 // newWindower builds one stream's windower for the configuration.
 func (c Config) newWindower() *Windower {
 	if slide := c.slideOrWidth(); slide < c.WindowWidth {
-		if c.NaiveSliding {
-			return newNaiveSlidingWindower(c.WindowWidth, slide, c.Lateness, c.AllowedLateness, c.Horizon)
-		}
 		return NewSlidingWindower(c.WindowWidth, slide, c.Lateness, c.AllowedLateness, c.Horizon)
 	}
 	return NewWindower(c.WindowWidth, c.Lateness, c.AllowedLateness, c.Horizon)
@@ -278,10 +267,6 @@ func (c Config) validate() error {
 			return fmt.Errorf("runtime: Durability.Dir is required")
 		case d.CheckpointEvery < 0:
 			return fmt.Errorf("runtime: Durability.CheckpointEvery = %v", d.CheckpointEvery)
-		case c.NaiveSliding:
-			// The naive baseline keeps raw per-window event buffers the
-			// checkpoint format deliberately does not serialize.
-			return fmt.Errorf("runtime: Durability is not supported with NaiveSliding")
 		}
 	}
 	for _, q := range c.Targets {
@@ -852,9 +837,7 @@ type ShardStats struct {
 	WindowsClosed int64
 	// PanesClosed counts panes cut by the shard's windowers. Tumbling
 	// windows are single panes, so the counter tracks WindowsClosed there;
-	// under a sliding configuration it counts the shared pane cuts — and
-	// stays zero under the NaiveSliding baseline, which re-buffers per
-	// window instead of slicing panes.
+	// under a sliding configuration it counts the shared pane cuts.
 	PanesClosed int64
 	// AnswersEmitted counts released answers published to the bus.
 	AnswersEmitted int64

@@ -409,9 +409,7 @@ func (s *shard) emitServe(key string, st *streamState, ws []stream.Window) bool 
 			// Sliding answers carry interval-only windows: the pane path
 			// never materializes per-window event lists, and the tally
 			// buffers are windower-owned scratch reclaimed on the next
-			// push, so neither may escape to subscribers. (Stripping the
-			// naive baseline's windows too keeps the subscriber-visible
-			// contract independent of the serving strategy.)
+			// push, so neither may escape to subscribers.
 			a.Window.Events = nil
 			a.Window.TypeCounts = nil
 		}

@@ -48,7 +48,7 @@ func randomQuerySet(rng *rand.Rand, width event.Timestamp) []cep.Query {
 		case 2:
 			return cep.OrOf(node(depth-1), node(depth-1))
 		case 3:
-			return cep.NegOf(node(depth-1))
+			return cep.NegOf(node(depth - 1))
 		default:
 			return leaf()
 		}
@@ -122,8 +122,7 @@ func slidingModel(evs []event.Event, width, slide event.Timestamp, policy Latene
 // property test (run under -race in CI): for randomized widths, slides,
 // lateness policies, and query sets, the pane-assembled sliding runtime must
 // release exactly the answers of a brute-force per-window evaluation of the
-// accepted events — and the naive re-buffering baseline must agree with the
-// pane path answer for answer on in-order feeds.
+// accepted events.
 func TestPropertySlidingServingMatchesBruteForce(t *testing.T) {
 	pt, err := core.NewPatternType("priv", "a", "b")
 	if err != nil {
@@ -157,14 +156,13 @@ func TestPropertySlidingServingMatchesBruteForce(t *testing.T) {
 			}
 		}
 
-		run := func(naive bool) map[string][]Answer {
+		run := func() map[string][]Answer {
 			rt, err := New(Config{
 				Shards:          2,
 				WindowWidth:     width,
 				Slide:           slide,
 				Lateness:        policy,
 				AllowedLateness: lateness,
-				NaiveSliding:    naive,
 				Mechanism:       func(int) (core.Mechanism, error) { return identityMechanism{}, nil },
 				Private:         []core.PatternType{pt},
 				Targets:         queries,
@@ -188,7 +186,7 @@ func TestPropertySlidingServingMatchesBruteForce(t *testing.T) {
 			wait()
 			return got
 		}
-		got := run(false)
+		got := run()
 
 		plans := make([]*cep.Plan, len(queries))
 		for i, q := range queries {
@@ -216,23 +214,6 @@ func TestPropertySlidingServingMatchesBruteForce(t *testing.T) {
 					if wantDet := plans[qi].EvalIndicators(ew.present); a.Detected != wantDet {
 						t.Fatalf("trial %d %s/%s window %d [%d,%d): detected %v, brute force %v",
 							trial, key, q.Name, i, ew.start, ew.end, a.Detected, wantDet)
-					}
-				}
-			}
-		}
-
-		// The naive baseline serves the same answers on in-order feeds.
-		if jitter == 0 {
-			naive := run(true)
-			for key, want := range got {
-				gotN := naive[key]
-				if len(gotN) != len(want) {
-					t.Fatalf("trial %d %s: naive %d answers, pane %d", trial, key, len(gotN), len(want))
-				}
-				for i := range want {
-					if gotN[i].Detected != want[i].Detected || gotN[i].WindowIndex != want[i].WindowIndex ||
-						gotN[i].Window.Start != want[i].Window.Start {
-						t.Fatalf("trial %d %s answer %d: naive %+v, pane %+v", trial, key, i, gotN[i], want[i])
 					}
 				}
 			}

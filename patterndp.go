@@ -313,11 +313,6 @@ func TimesOf(inner Expr, min, max int) Expr { return cep.TimesOf(inner, min, max
 // themselves; CompileQuery is for callers evaluating queries directly.
 func CompileQuery(q Query) (*Plan, error) { return cep.Compile(q) }
 
-// Detect reports whether the pattern occurs in the window without
-// materializing a witness — the allocation-free boolean counterpart of the
-// engine's witness-producing evaluation.
-func Detect(e Expr, w Window) bool { return cep.Detect(e, w) }
-
 // Parse compiles a textual pattern query — e.g.
 // "SEQ(enter-taxi, near-hospital) WITHIN 10" — into an expression tree and
 // window width (0 when no WITHIN clause is present).
