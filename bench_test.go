@@ -222,15 +222,29 @@ func BenchmarkEvalWindow(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectionProbability measures the adaptive PPM's quality oracle.
+// BenchmarkDetectionProbability measures the adaptive PPM's quality oracle,
+// on a truth map holding only the pattern's types and on one holding 100
+// types, as a taxi window's indicators do for a single-atom target.
 func BenchmarkDetectionProbability(b *testing.B) {
-	expr := cep.SeqTypes("e1", "e2", "e3")
-	truth := map[event.Type]bool{"e1": true, "e2": false, "e3": true}
 	flip := map[event.Type]float64{"e1": 0.2, "e2": 0.3, "e3": 0.1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.DetectionProbability(expr, truth, flip, nil)
-	}
+	b.Run("seq3", func(b *testing.B) {
+		expr := cep.SeqTypes("e1", "e2", "e3")
+		truth := map[event.Type]bool{"e1": true, "e2": false, "e3": true}
+		for i := 0; i < b.N; i++ {
+			_ = core.DetectionProbability(expr, truth, flip, nil)
+		}
+	})
+	b.Run("atom-truth100", func(b *testing.B) {
+		expr := cep.E("e1")
+		truth := make(map[event.Type]bool, 100)
+		for i := 0; i < 100; i++ {
+			truth[event.Type(fmt.Sprintf("e%d", i))] = i%3 == 0
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = core.DetectionProbability(expr, truth, flip, nil)
+		}
+	})
 }
 
 // BenchmarkTaxiGenerate measures the fleet simulator.

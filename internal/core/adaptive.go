@@ -110,11 +110,13 @@ func NewAdaptivePPM(cfg AdaptiveConfig, history []IndicatorWindow, targets []cep
 		a.dists = append(a.dists, d)
 	}
 	a.rebuildFlips()
-	a.fitQ = ExpectedQuality(history, targets, a.FlipProbs(), cfg.Alpha, rng)
+	// The history is indexed once; every candidate below is scored on it.
+	quality := newQualityScorer(history, targets, cfg.Alpha, rng)
+	a.fitQ = quality.score(a.FlipProbs())
 
 	// Coordinate descent over pattern types, Algorithm 1 within each.
 	for k, pt := range private {
-		q, iters := a.fitPattern(k, pt, history, targets, rng)
+		q, iters := a.fitPattern(k, pt, quality)
 		a.fitQ = q
 		a.iters += iters
 	}
@@ -123,7 +125,7 @@ func NewAdaptivePPM(cfg AdaptiveConfig, history []IndicatorWindow, targets []cep
 
 // fitPattern runs Algorithm 1 for pattern k with all other patterns fixed.
 // It returns the fitted expected quality and the number of committed steps.
-func (a *AdaptivePPM) fitPattern(k int, pt PatternType, history []IndicatorWindow, targets []cep.Expr, rng *rand.Rand) (float64, int) {
+func (a *AdaptivePPM) fitPattern(k int, pt PatternType, quality *qualityScorer) (float64, int) {
 	m := pt.Len()
 	if m < 2 {
 		// Nothing to reallocate; uniform is the only allocation.
@@ -138,7 +140,7 @@ func (a *AdaptivePPM) fitPattern(k int, pt PatternType, history []IndicatorWindo
 		saved := a.dists[k]
 		a.dists[k] = d
 		a.rebuildFlips()
-		q := ExpectedQuality(history, targets, a.FlipProbs(), a.cfg.Alpha, rng)
+		q := quality.score(a.FlipProbs())
 		a.dists[k] = saved
 		a.rebuildFlips()
 		return q

@@ -81,12 +81,11 @@ func referenceDetectionProbability(expr cep.Expr, truth map[event.Type]bool, fli
 	}
 	if len(perturbed) > maxExactTypes {
 		hits := 0
-		keys := SortedTypes(truth)
 		for s := 0; s < 4096; s++ {
-			for _, k := range keys {
-				released[k] = truth[k]
-				if p := flip[k]; p > 0 && rng.Float64() < p {
-					released[k] = !truth[k]
+			for _, t := range perturbed {
+				released[t] = truth[t]
+				if rng.Float64() < flip[t] {
+					released[t] = !truth[t]
 				}
 			}
 			if cep.EvalIndicators(expr, released) {

@@ -2,7 +2,7 @@ package core
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"patterndp/internal/cep"
 	"patterndp/internal/event"
@@ -16,7 +16,7 @@ const maxExactTypes = 12
 // DetectionProbability computes the probability that expr evaluates true
 // over released indicators, given the true indicators and independent
 // per-type flip probabilities. Types with no entry in flip are released
-// deterministically.
+// deterministically, and types absent from truth are false.
 //
 // The computation enumerates all assignments of the perturbed types that
 // expr references (exact for up to maxExactTypes such types) and therefore
@@ -25,7 +25,9 @@ const maxExactTypes = 12
 // in that case). expr must be valid (see cep.Query.Validate); it is
 // compiled to a cep.Plan once per call.
 func DetectionProbability(expr cep.Expr, truth map[event.Type]bool, flip map[event.Type]float64, rng *rand.Rand) float64 {
-	return detectionProbability(indicatorPlan(expr), truth, flip, rng)
+	plan := indicatorPlan(expr)
+	types := plan.Query().Pattern.Types()
+	return detectionProbability(plan, project(truth, types), flip, perturbedTypes(nil, types, flip), rng)
 }
 
 // indicatorPlan compiles an expression for answering over indicators. The
@@ -43,34 +45,59 @@ func indicatorPlans(exprs []cep.Expr) []*cep.Plan {
 	return plans
 }
 
-func detectionProbability(plan *cep.Plan, truth map[event.Type]bool, flip map[event.Type]float64, rng *rand.Rand) float64 {
-	// Collect the perturbed types the expression actually references.
-	var perturbed []event.Type
-	for _, t := range plan.Query().Pattern.Types() {
-		if p := flip[t]; p > 0 {
-			perturbed = append(perturbed, t)
+// project returns truth restricted to types, with an entry for every one of
+// them: the only indicators a plan over those types reads.
+func project(truth map[event.Type]bool, types []event.Type) map[event.Type]bool {
+	out := make(map[event.Type]bool, len(types))
+	for _, t := range types {
+		out[t] = truth[t]
+	}
+	return out
+}
+
+// perturbedTypes appends to dst the types with a positive flip probability,
+// sorted so that enumeration and sampling visit them in a fixed order.
+func perturbedTypes(dst, types []event.Type, flip map[event.Type]float64) []event.Type {
+	for _, t := range types {
+		if flip[t] > 0 {
+			dst = append(dst, t)
 		}
 	}
-	sort.Slice(perturbed, func(i, j int) bool { return perturbed[i] < perturbed[j] })
+	slices.Sort(dst)
+	return dst
+}
 
-	if len(perturbed) == 0 {
-		if plan.EvalIndicators(truth) {
+// detectionProbability is DetectionProbability for a compiled plan.
+// present holds the clean indicator of every type the plan references and
+// perturbed the sorted referenced types with a positive flip probability.
+// The enumeration and the sampling release into present in place and
+// restore it before returning.
+func detectionProbability(plan *cep.Plan, present map[event.Type]bool, flip map[event.Type]float64, perturbed []event.Type, rng *rand.Rand) float64 {
+	switch {
+	case len(perturbed) == 0:
+		if plan.EvalIndicators(present) {
 			return 1
 		}
 		return 0
+	case len(perturbed) <= maxExactTypes:
+		var buf [maxExactTypes]bool
+		return exactDetectionProbability(plan, present, cleanValues(buf[:0], present, perturbed), flip, perturbed)
+	default:
+		return sampledDetectionProbability(plan, present, cleanValues(nil, present, perturbed), flip, perturbed, rng)
 	}
-
-	if len(perturbed) <= maxExactTypes {
-		return exactDetectionProbability(plan, truth, flip, perturbed)
-	}
-	return sampledDetectionProbability(plan, truth, flip, rng)
 }
 
-func exactDetectionProbability(plan *cep.Plan, truth map[event.Type]bool, flip map[event.Type]float64, perturbed []event.Type) float64 {
-	released := make(map[event.Type]bool, len(truth))
-	for k, v := range truth {
-		released[k] = v
+// cleanValues appends to dst the clean indicators of perturbed, the values
+// restore writes back.
+func cleanValues(dst []bool, present map[event.Type]bool, perturbed []event.Type) []bool {
+	for _, t := range perturbed {
+		dst = append(dst, present[t])
 	}
+	return dst
+}
+
+func exactDetectionProbability(plan *cep.Plan, released map[event.Type]bool, truth []bool, flip map[event.Type]float64, perturbed []event.Type) float64 {
+	defer restore(released, truth, perturbed)
 	n := len(perturbed)
 	total := 0.0
 	for mask := 0; mask < 1<<n; mask++ {
@@ -80,10 +107,10 @@ func exactDetectionProbability(plan *cep.Plan, truth map[event.Type]bool, flip m
 			flipped := mask&(1<<i) != 0
 			if flipped {
 				w *= p
-				released[t] = !truth[t]
+				released[t] = !truth[i]
 			} else {
 				w *= 1 - p
-				released[t] = truth[t]
+				released[t] = truth[i]
 			}
 		}
 		if w == 0 {
@@ -96,24 +123,26 @@ func exactDetectionProbability(plan *cep.Plan, truth map[event.Type]bool, flip m
 	return total
 }
 
-func sampledDetectionProbability(plan *cep.Plan, truth map[event.Type]bool, flip map[event.Type]float64, rng *rand.Rand) float64 {
+func sampledDetectionProbability(plan *cep.Plan, released map[event.Type]bool, truth []bool, flip map[event.Type]float64, perturbed []event.Type, rng *rand.Rand) float64 {
 	const samples = 4096
-	released := make(map[event.Type]bool, len(truth))
-	keys := SortedTypes(truth)
+	defer restore(released, truth, perturbed)
 	hits := 0
 	for s := 0; s < samples; s++ {
-		for _, k := range keys {
-			if p := flip[k]; p > 0 && rng.Float64() < p {
-				released[k] = !truth[k]
-			} else {
-				released[k] = truth[k]
-			}
+		for i, t := range perturbed {
+			released[t] = truth[i] != (rng.Float64() < flip[t])
 		}
 		if plan.EvalIndicators(released) {
 			hits++
 		}
 	}
 	return float64(hits) / samples
+}
+
+// restore writes the clean indicators of perturbed back into released.
+func restore(released map[event.Type]bool, truth []bool, perturbed []event.Type) {
+	for i, t := range perturbed {
+		released[t] = truth[i]
+	}
 }
 
 // ExpectedConfusion computes the expected confusion counts of answering the
@@ -162,13 +191,98 @@ func (c ExpectedConfusion) Q(alpha float64) float64 {
 // simulation with an exact expectation (a deliberate design choice — see
 // DESIGN.md).
 func ExpectedQuality(wins []IndicatorWindow, targets []cep.Expr, flip map[event.Type]float64, alpha float64, rng *rand.Rand) float64 {
+	return newQualityScorer(wins, targets, alpha, rng).score(flip)
+}
+
+// qualityScorer is ExpectedQuality indexed for one history and target set,
+// which Algorithm 1 scores against many flip vectors. Each target is
+// compiled once, and the windows are grouped by their projection onto the
+// types the target references: the clean answer and every exact detection
+// probability depend on that projection alone, so they are computed once
+// per distinct projection rather than once per window.
+//
+// A qualityScorer is not safe for concurrent use.
+type qualityScorer struct {
+	targets []scoredTarget
+	windows int
+	alpha   float64
+	rng     *rand.Rand
+}
+
+// scoredTarget is one target's index over the history.
+type scoredTarget struct {
+	plan  *cep.Plan
+	types []event.Type
+	// proj holds one projection per distinct key, clean its answer, and
+	// group the index into proj of each window's key.
+	proj  []map[event.Type]bool
+	clean []bool
+	group []int32
+	// perturbed and pd are working buffers of score: the sorted perturbed
+	// types and, when there are at most maxExactTypes of them, the
+	// detection probability of each projection.
+	perturbed []event.Type
+	pd        []float64
+}
+
+func newQualityScorer(wins []IndicatorWindow, targets []cep.Expr, alpha float64, rng *rand.Rand) *qualityScorer {
+	s := &qualityScorer{targets: make([]scoredTarget, len(targets)), windows: len(wins), alpha: alpha, rng: rng}
+	for i, e := range targets {
+		t := &s.targets[i]
+		t.plan = indicatorPlan(e)
+		t.types = t.plan.Query().Pattern.Types()
+		t.group = make([]int32, len(wins))
+		// The key is the projection as a bitmask, one bit per referenced
+		// type in Types order.
+		key := make([]byte, (len(t.types)+7)/8)
+		index := make(map[string]int32)
+		for w, win := range wins {
+			clear(key)
+			for j, ty := range t.types {
+				if win.Present[ty] {
+					key[j/8] |= 1 << (j % 8)
+				}
+			}
+			g, ok := index[string(key)]
+			if !ok {
+				g = int32(len(t.proj))
+				index[string(key)] = g
+				p := project(win.Present, t.types)
+				t.proj = append(t.proj, p)
+				t.clean = append(t.clean, t.plan.EvalIndicators(p))
+			}
+			t.group[w] = g
+		}
+		t.pd = make([]float64, len(t.proj))
+	}
+	return s
+}
+
+// score returns ExpectedQuality for flip. It accumulates the expected
+// confusion counts window by window and target by target, the order of the
+// per-window definition, so its result is bit-identical to it; a sampled
+// target draws from rng in that same order.
+func (s *qualityScorer) score(flip map[event.Type]float64) float64 {
+	for i := range s.targets {
+		t := &s.targets[i]
+		t.perturbed = perturbedTypes(t.perturbed[:0], t.types, flip)
+		if len(t.perturbed) > maxExactTypes {
+			continue
+		}
+		for g, p := range t.proj {
+			t.pd[g] = detectionProbability(t.plan, p, flip, t.perturbed, nil)
+		}
+	}
 	var c ExpectedConfusion
-	plans := indicatorPlans(targets)
-	for _, w := range wins {
-		for _, p := range plans {
-			truth := p.EvalIndicators(w.Present)
-			pDetect := detectionProbability(p, w.Present, flip, rng)
-			if truth {
+	for w := 0; w < s.windows; w++ {
+		for i := range s.targets {
+			t := &s.targets[i]
+			g := t.group[w]
+			pDetect := t.pd[g]
+			if len(t.perturbed) > maxExactTypes {
+				pDetect = detectionProbability(t.plan, t.proj[g], flip, t.perturbed, s.rng)
+			}
+			if t.clean[g] {
 				c.TP += pDetect
 				c.FN += 1 - pDetect
 			} else {
@@ -177,7 +291,7 @@ func ExpectedQuality(wins []IndicatorWindow, targets []cep.Expr, flip map[event.
 			}
 		}
 	}
-	return c.Q(alpha)
+	return c.Q(s.alpha)
 }
 
 // MeasuredQuality evaluates the realized quality of released indicator maps
