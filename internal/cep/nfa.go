@@ -30,18 +30,6 @@ type NFA struct {
 	// expired and evicted partial matches, so steady-state feeding stops
 	// allocating per partial match.
 	free []*run
-	// druns are the detect-only partial matches of FeedDetect: value
-	// types carrying just progress and the first/last matched timestamps,
-	// so continuous detection across pane boundaries never materializes
-	// witness events.
-	druns []detectRun
-}
-
-// detectRun is a witness-free partial match: it has consumed events for
-// atoms[0:progress], the earliest at time first, the latest at time last.
-type detectRun struct {
-	progress    int
-	first, last event.Timestamp
 }
 
 // maxFreeRuns bounds the free list so a transient burst of partial matches
@@ -109,7 +97,6 @@ func (m *NFA) Reset() {
 		m.recycle(r)
 	}
 	m.runs = m.runs[:0]
-	m.druns = m.druns[:0]
 	m.dropped = 0
 }
 
@@ -227,60 +214,6 @@ func (m *NFA) FeedAll(evs []event.Event) []event.Pattern {
 		out = append(out, m.Feed(e)...)
 	}
 	return out
-}
-
-// FeedDetect advances the matcher with one event in detection-only mode and
-// reports the latest first-event timestamp among the matches the event
-// completes (ok is false when it completes none). It is the carry-over feed
-// for sliding windows: one matcher runs continuously across pane boundaries,
-// partial matches are value types holding only their progress and time span
-// (no witness events are ever materialized or copied), and the reported span
-// (first, e.Time] is exactly what a caller needs to mark every sliding
-// window that fully contains a match — the match starting latest is the one
-// contained in the most windows, so later-starting matches completed by the
-// same event are subsumed. Runs expire under the compiled window bound like
-// Feed. FeedDetect and Feed/FirstMatch keep separate run state; use one mode
-// per matcher between Resets.
-func (m *NFA) FeedDetect(e event.Event) (first event.Timestamp, ok bool) {
-	if m.window > 0 {
-		alive := m.druns[:0]
-		for _, r := range m.druns {
-			if e.Time-r.first < m.window {
-				alive = append(alive, r)
-			}
-		}
-		m.druns = alive
-	}
-	// Advance existing runs; skip-till-any-match clones, so an advancing
-	// run also persists unadvanced. Children are appended past base and not
-	// themselves advanced by this event (their last == e.Time forbids it).
-	base := len(m.druns)
-	for i := 0; i < base; i++ {
-		r := m.druns[i]
-		if e.Time <= r.last || !m.atoms[r.progress].Matches(e) {
-			continue
-		}
-		if r.progress+1 == len(m.atoms) {
-			if !ok || r.first > first {
-				first, ok = r.first, true
-			}
-			continue
-		}
-		m.druns = append(m.druns, detectRun{progress: r.progress + 1, first: r.first, last: e.Time})
-	}
-	if m.atoms[0].Matches(e) {
-		if len(m.atoms) == 1 {
-			first, ok = e.Time, true
-		} else {
-			m.druns = append(m.druns, detectRun{progress: 1, first: e.Time, last: e.Time})
-		}
-	}
-	if m.maxRuns > 0 && len(m.druns) > m.maxRuns {
-		evict := len(m.druns) - m.maxRuns
-		m.dropped += uint64(evict)
-		m.druns = m.druns[:copy(m.druns, m.druns[evict:])]
-	}
-	return first, ok
 }
 
 // FirstMatch feeds events in order and returns the first completed instance,

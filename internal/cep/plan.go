@@ -46,21 +46,10 @@ type Plan struct {
 	// answer is exactly "all required types present".
 	ind *program
 
-	// win is the concrete-window counterpart of ind for patterns whose
-	// window answer is order-free — no SEQ or TIMES node, only AND/OR/NEG
-	// over (predicated) atoms — with one leaf per atom: leaf i's value is
-	// "some window event matches atom i". That bit is mergeable by OR
-	// across stream panes, so sliding evaluators answer such patterns from
-	// per-pane partial bitsets in O(panes) per window instead of
-	// re-scanning events (see Plan.Sliding). nil when the pattern needs
-	// order or counting (or has more than 64 leaves).
-	win *program
-
 	// seq is non-nil for Seq-of-Atom patterns; nfas pools compiled
 	// matchers for concrete-window detection.
-	seq     *Seq
-	nfaOpts []NFAOption
-	nfas    sync.Pool
+	seq  *Seq
+	nfas sync.Pool
 	// dropped accumulates partial matches evicted by the pooled NFAs'
 	// maxRuns bound (see WithMaxRuns) — the operator signal for matcher
 	// memory pressure.
@@ -74,7 +63,7 @@ func Compile(q Query, opts ...NFAOption) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Plan{query: q, nfaOpts: opts}
+	p := &Plan{query: q}
 	l := &lowering{}
 	n := l.lower(q.Pattern)
 	switch n.kind {
@@ -85,7 +74,7 @@ func Compile(q Query, opts ...NFAOption) (*Plan, error) {
 	default:
 		p.required = requiredTypes(n)
 		if !conjunctiveOnly(n) {
-			p.ind = compileProgram(n, func(a *Atom) any { return a.Type })
+			p.ind = compileProgram(n)
 		}
 	}
 	// Without TIMES both semantics lower to the same tree (SEQ relaxes to
@@ -94,11 +83,6 @@ func Compile(q Query, opts ...NFAOption) (*Plan, error) {
 		p.requiredWindow = requiredTypes((&lowering{window: true}).lower(q.Pattern))
 	} else {
 		p.requiredWindow = p.required
-		if !l.seq {
-			if prog := compileProgram(n, func(a *Atom) any { return a }); len(prog.leaves) <= 64 {
-				p.win = prog
-			}
-		}
 	}
 	if s, ok := q.Pattern.(*Seq); ok && seqOfAtoms(s) {
 		p.seq = s
@@ -151,7 +135,7 @@ func (p *Plan) EvalIndicators(present map[event.Type]bool) bool {
 	if p.ind == nil {
 		return true
 	}
-	return p.ind.eval(func(i int32) bool { return present[p.ind.leaves[i].Type] })
+	return p.ind.eval(present)
 }
 
 // missingRequired reports whether a required type is absent from the window,
@@ -248,12 +232,12 @@ var (
 //
 // Under concrete-window semantics (window true) SEQ and TIMES need order
 // and counts, which a boolean tree cannot express. They are relaxed to a
-// conjunction and to the inner expression: the tree then still yields the
-// required types, but it is a valid program only when seq and times, which
-// record whether either operator occurred, are both false.
+// conjunction and to the inner expression: the tree is then no program, but
+// it still yields the required types. times records whether a TIMES node
+// occurred — the one operator whose two lowerings differ.
 type lowering struct {
-	window     bool
-	seq, times bool
+	window bool
+	times  bool
 }
 
 func (l *lowering) lower(e Expr) *pnode {
@@ -261,7 +245,6 @@ func (l *lowering) lower(e Expr) *pnode {
 	case *Atom:
 		return &pnode{kind: pAtom, atom: x}
 	case *Seq:
-		l.seq = true
 		return l.combine(pAll, x.Parts)
 	case *And:
 		return l.combine(pAll, x.Parts)
@@ -382,13 +365,11 @@ func conjunctiveOnly(n *pnode) bool {
 
 // --- programs ---------------------------------------------------------------
 
-// program is a flat postfix form of a lowered, non-constant pnode tree. The
-// VM reads leaf values through a caller-supplied function, so one program
-// format serves both released indicators (a leaf is its type's presence
-// bit) and concrete-window leaf bitsets.
+// program is a flat postfix form of a lowered, non-constant pnode tree over
+// released indicators: a leaf is its type's presence bit.
 type program struct {
 	instrs   []planInstr
-	leaves   []*Atom // operand table indexed by opLeaf's arg
+	leaves   []event.Type // operand table indexed by opLeaf's arg
 	stackCap int
 }
 
@@ -408,18 +389,17 @@ const (
 )
 
 // compileProgram emits the postfix program of a lowered tree whose root is
-// not constant (constants fold away below the root). Leaves whose key is
-// equal share one operand slot.
-func compileProgram(n *pnode, key func(*Atom) any) *program {
-	c := &emitter{prog: &program{}, key: key, slots: make(map[any]int32)}
+// not constant (constants fold away below the root). Atoms of one type share
+// one operand slot.
+func compileProgram(n *pnode) *program {
+	c := &emitter{prog: &program{}, slots: make(map[event.Type]int32)}
 	c.emit(n)
 	return c.prog
 }
 
 type emitter struct {
 	prog  *program
-	key   func(*Atom) any
-	slots map[any]int32
+	slots map[event.Type]int32
 	depth int
 }
 
@@ -432,12 +412,12 @@ func (c *emitter) push(in planInstr, delta int) {
 func (c *emitter) emit(n *pnode) {
 	switch n.kind {
 	case pAtom:
-		k := c.key(n.atom)
-		i, ok := c.slots[k]
+		t := n.atom.Type
+		i, ok := c.slots[t]
 		if !ok {
 			i = int32(len(c.prog.leaves))
-			c.prog.leaves = append(c.prog.leaves, n.atom)
-			c.slots[k] = i
+			c.prog.leaves = append(c.prog.leaves, t)
+			c.slots[t] = i
 		}
 		c.push(planInstr{op: opLeaf, arg: i}, 1)
 	case pAll, pAny:
@@ -457,8 +437,8 @@ func (c *emitter) emit(n *pnode) {
 	}
 }
 
-// eval runs the program; leaf reports the value of operand i.
-func (pr *program) eval(leaf func(i int32) bool) bool {
+// eval runs the program over one window's presence indicators.
+func (pr *program) eval(present map[event.Type]bool) bool {
 	var scratch [16]bool
 	st := scratch[:0]
 	if pr.stackCap > len(scratch) {
@@ -467,7 +447,7 @@ func (pr *program) eval(leaf func(i int32) bool) bool {
 	for _, in := range pr.instrs {
 		switch in.op {
 		case opLeaf:
-			st = append(st, leaf(in.arg))
+			st = append(st, present[pr.leaves[in.arg]])
 		case opAll:
 			n := len(st) - int(in.arg)
 			st = append(st[:n], !slices.Contains(st[n:], false))

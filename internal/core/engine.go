@@ -24,7 +24,8 @@ type Answer struct {
 	Query string
 	// WindowIndex is the position of the window in the stream.
 	WindowIndex int
-	// Window is the covered interval.
+	// Window is the covered interval: Start and End only. A consumer sees
+	// the released answer, never the window's events or tally.
 	Window stream.Window
 	// Detected is the released (perturbed) binary answer.
 	Detected bool
@@ -397,7 +398,8 @@ func (pe *PrivateEngine) ProcessWindows(ws []stream.Window) ([]Answer, error) {
 // ProcessWindowsInto is ProcessWindows appending into dst, so a streaming
 // caller can reuse one answer buffer across calls: answers are valid until
 // the caller reuses the buffer. Windows that carry TypeCounts (cut by the
-// streaming Windower) are indexed without rescanning their events.
+// streaming Windower) are indexed without rescanning their events. This is
+// where an answer's content is decided: its window is the interval alone.
 func (pe *PrivateEngine) ProcessWindowsInto(dst []Answer, ws []stream.Window) ([]Answer, error) {
 	ps := pe.snapshot()
 	if len(ps.targets) == 0 {
@@ -433,7 +435,7 @@ func (pe *PrivateEngine) ProcessWindowsInto(dst []Answer, ws []stream.Window) ([
 			dst = append(dst, Answer{
 				Query:       q.Name,
 				WindowIndex: i,
-				Window:      w,
+				Window:      stream.Window{Start: w.Start, End: w.End},
 				Detected:    ps.plans[j].EvalIndicators(rel),
 			})
 		}

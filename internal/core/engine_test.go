@@ -174,6 +174,48 @@ func TestPrivateEngineServeStreaming(t *testing.T) {
 	}
 }
 
+// TestAnswersCarryIntervalOnly pins what a data consumer receives: the
+// released bit and the window's interval, never the window's events or
+// tally — whether the windows came with events (ProcessWindows over
+// WindowSlice, Serve over stream.Tumbling) or with a tally.
+func TestAnswersCarryIntervalOnly(t *testing.T) {
+	pt := mustPT(t, "priv", "a")
+	pe, _ := NewPrivateEngine(Identity{}, []PatternType{pt}, 1)
+	if err := pe.RegisterTarget(cep.Query{Name: "tgt", Pattern: cep.E("a"), Window: 5}); err != nil {
+		t.Fatal(err)
+	}
+	evs := []event.Event{event.New("a", 0), event.New("a", 7), event.New("b", 12)}
+	check := func(via string, answers []Answer, want []stream.Window) {
+		t.Helper()
+		if len(answers) != len(want) {
+			t.Fatalf("%s: %d answers, want %d", via, len(answers), len(want))
+		}
+		for i, a := range answers {
+			if a.Window.Events != nil || a.Window.TypeCounts != nil {
+				t.Errorf("%s answer %d carries window contents: %+v", via, i, a.Window)
+			}
+			if a.Window.Start != want[i].Start || a.Window.End != want[i].End {
+				t.Errorf("%s answer %d: [%d,%d), want [%d,%d)", via, i, a.Window.Start, a.Window.End, want[i].Start, want[i].End)
+			}
+		}
+	}
+	ws := stream.WindowSlice(evs, 5)
+	tallied := []stream.Window{{Start: 0, End: 5, TypeCounts: stream.TypeCounts{{Type: "a", N: 1}}}}
+	answers, err := pe.ProcessWindows(ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("ProcessWindows", answers, ws)
+	answers, err = pe.ProcessWindows(tallied)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("ProcessWindows(tally)", answers, tallied)
+	done := make(chan struct{})
+	defer close(done)
+	check("Serve", stream.Collect(pe.Serve(done, stream.FromSlice(evs), 5)), ws)
+}
+
 func TestRelevantTypesUnion(t *testing.T) {
 	pt := mustPT(t, "priv", "a", "b")
 	pe, _ := NewPrivateEngine(Identity{}, []PatternType{pt}, 1)

@@ -1,10 +1,7 @@
 package durable
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,17 +12,11 @@ import (
 	"patterndp/internal/stream"
 )
 
-// Checkpoint file layout:
-//
-//	magic "PPMCKPT\n" (8) | len u32 | crc u32 (CRC32-IEEE of payload) | payload
-//
-// where payload is the Checkpoint JSON. The file is written to a temp name,
-// fsynced, and renamed into place, so a crash mid-write leaves either the
-// previous checkpoint or a torn temp file — and an injected mid-checkpoint
-// crash deliberately tears a file under the *final* name, which the CRC
-// check must catch. JSON (not the WAL's binary framing) because checkpoints
-// are rare, off the hot path, and worth being greppable when debugging a
-// recovery.
+// Checkpoint files are framed (see writeFramed) under ckptMagic, with the
+// Checkpoint JSON as payload. An injected mid-checkpoint crash deliberately
+// tears a file under the *final* name, which the CRC check must catch. JSON
+// (not the WAL's binary framing) because checkpoints are rare, off the hot
+// path, and worth being greppable when debugging a recovery.
 const ckptMagic = "PPMCKPT\n"
 
 // Checkpoint is a consistent snapshot of everything the WAL alone cannot
@@ -95,8 +86,11 @@ type WindowerState struct {
 	// Pending is the reorder buffer: events at or past the watermark, not
 	// yet assigned to a pane.
 	Pending []event.Event `json:"pending,omitempty"`
-	// Ring is the pane tally ring, oldest pane first; its length is the
-	// window overlap (width/slide). Nil entries are empty panes.
+	// Ring is the pane tally ring, oldest pane first: the newest
+	// overlap-1 panes (overlap = width/slide), so nil for tumbling windows.
+	// Older checkpoints may hold one more, oldest pane; restore accepts
+	// both, as that pane leaves the ring before the next window is
+	// assembled. Nil entries are empty panes.
 	Ring []stream.TypeCounts `json:"ring,omitempty"`
 }
 
@@ -139,48 +133,24 @@ func (l *Log) WriteCheckpoint(ck *Checkpoint) error {
 		return nil
 	}
 	ck.ID = l.ckptSeq + 1
-	payload, err := json.Marshal(ck)
+	data, err := encodeFramed(ckptMagic, "checkpoint", ck)
 	if err != nil {
-		return fmt.Errorf("durable: marshal checkpoint: %w", err)
+		return err
 	}
-	var hdr [16]byte
-	copy(hdr[:], ckptMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[12:], crc32.ChecksumIEEE(payload))
 	final := filepath.Join(l.dir, fmt.Sprintf("ckpt-%016x.ckpt", ck.ID))
 
 	if CrashPoint(l.crashPoint.Load()) == CrashMidCheckpoint && l.crashLeft.Load() <= 0 {
 		// Injected crash mid-write: tear the file under the final name —
 		// the worst case recovery must handle (a plausible-looking
 		// checkpoint whose CRC doesn't verify).
-		torn := append(append([]byte{}, hdr[:]...), payload[:len(payload)/2]...)
+		torn := data[:frameHeaderLen+(len(data)-frameHeaderLen)/2]
 		os.WriteFile(final, torn, 0o644) //nolint:errcheck
 		l.crashed.Store(true)
 		return ErrCrashed
 	}
-
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("durable: checkpoint: %w", err)
+	if err := writeFramed(final, "checkpoint", data); err != nil {
+		return err
 	}
-	if _, err := f.Write(hdr[:]); err == nil {
-		_, err = f.Write(payload)
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp) //nolint:errcheck
-		return fmt.Errorf("durable: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("durable: checkpoint: %w", err)
-	}
-	syncDir(l.dir)
 	if l.ckptC != nil {
 		l.ckptC.Inc()
 	}
@@ -243,25 +213,9 @@ func (l *Log) pruneLocked(ck *Checkpoint) {
 // CRC-corrupt file returns an error so recovery falls back to the previous
 // checkpoint.
 func readCheckpoint(path string) (*Checkpoint, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < 16 || string(data[:8]) != ckptMagic {
-		return nil, fmt.Errorf("durable: %s: not a checkpoint", filepath.Base(path))
-	}
-	length := binary.LittleEndian.Uint32(data[8:])
-	crc := binary.LittleEndian.Uint32(data[12:])
-	if int(length) != len(data)-16 {
-		return nil, fmt.Errorf("durable: %s: torn checkpoint", filepath.Base(path))
-	}
-	payload := data[16:]
-	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, fmt.Errorf("durable: %s: checkpoint CRC mismatch", filepath.Base(path))
-	}
 	var ck Checkpoint
-	if err := json.Unmarshal(payload, &ck); err != nil {
-		return nil, fmt.Errorf("durable: %s: %w", filepath.Base(path), err)
+	if err := readFramed(path, ckptMagic, "checkpoint", &ck); err != nil {
+		return nil, err
 	}
 	return &ck, nil
 }
@@ -287,13 +241,4 @@ func parseSegmentName(name string) (shard int, firstLSN uint64, ok bool) {
 		return shard, firstLSN, true
 	}
 	return 0, 0, false
-}
-
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()  //nolint:errcheck // best effort; rename durability
-	d.Close() //nolint:errcheck
 }

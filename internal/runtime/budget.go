@@ -60,7 +60,6 @@ func (s *shard) emitBudgeted(key string, st *streamState, ws []stream.Window) bo
 		s.ansScratch = engAnswers
 	}
 	s.pubAns = s.pubAns[:0]
-	sliding := s.rt.cfg.sliding()
 	nq := len(s.cur.targets)
 	ai := 0
 	for i := range ws {
@@ -71,12 +70,6 @@ func (s *shard) emitBudgeted(key string, st *streamState, ws []stream.Window) bo
 				a := engAnswers[ai]
 				ai++
 				a.WindowIndex = st.next + i
-				if sliding {
-					// Interval-only, as on the unbudgeted path: the pane
-					// tallies are windower-owned scratch.
-					a.Window.Events = nil
-					a.Window.TypeCounts = nil
-				}
 				s.pubAns = append(s.pubAns, Answer{
 					Stream:           key,
 					Shard:            s.id,
@@ -91,9 +84,7 @@ func (s *shard) emitBudgeted(key string, st *streamState, ws []stream.Window) bo
 			// A data-independent placeholder: computed without touching
 			// the window's contents (interval only, Detected constant
 			// false), so it spends no budget.
-			w := ws[i]
-			w.Events = nil
-			w.TypeCounts = nil
+			w := stream.Window{Start: ws[i].Start, End: ws[i].End}
 			for k := 0; k < nq; k++ {
 				a := Answer{
 					Stream:           key,

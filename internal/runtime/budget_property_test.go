@@ -83,6 +83,7 @@ func runBudgetTrial(t *testing.T, rng *rand.Rand) {
 		spent      dp.Epsilon
 	}
 	byStream := make(map[string][]rel)
+	leaked := 0 // answers carrying window contents beyond the interval
 	var consumer sync.WaitGroup
 	consumer.Add(1)
 	go func() {
@@ -90,6 +91,9 @@ func runBudgetTrial(t *testing.T, rng *rand.Rand) {
 		for a := range sub.C() {
 			mu.Lock()
 			byStream[a.Stream] = append(byStream[a.Stream], rel{a.WindowIndex, a.Suppressed, a.SpentEpsilon})
+			if a.Window.Events != nil || a.Window.TypeCounts != nil {
+				leaked++
+			}
 			mu.Unlock()
 		}
 	}()
@@ -140,6 +144,9 @@ func runBudgetTrial(t *testing.T, rng *rand.Rand) {
 		t.Fatal(err)
 	}
 	consumer.Wait()
+	if leaked > 0 {
+		t.Fatalf("%d answers carry window events or tallies (overlap %d): answers are interval-only", leaked, overlap)
+	}
 
 	b := rt.Snapshot().Budget
 	if b == nil {

@@ -413,8 +413,10 @@ func (rt *Runtime) restore(rec *durable.Recovery) error {
 
 // exportWindower serializes one stream's windowing state: watermark
 // position, reorder buffer (via the event JSON codec), and the pane tally
-// ring (via stream.TypeCounts' exported shape). slotCounts are derived state
-// and rebuilt from the pending events on restore.
+// ring (via stream.TypeCounts' exported shape). The ring's oldest pane
+// leaves it before the next window is assembled, so only the newest
+// overlap-1 panes are state; a tumbling stream exports no ring. slotCounts
+// are derived state and rebuilt from the pending events on restore.
 func exportWindower(w *Windower) durable.WindowerState {
 	ws := durable.WindowerState{
 		Started:   w.started,
@@ -426,10 +428,10 @@ func exportWindower(w *Windower) durable.WindowerState {
 	if len(w.pending) > 0 {
 		ws.Pending = append([]event.Event(nil), w.pending...)
 	}
-	if w.overlap > 1 && w.ring.n > 0 {
-		ws.Ring = make([]stream.TypeCounts, w.ring.n)
-		for i := 0; i < w.ring.n; i++ {
-			ws.Ring[i] = w.ring.slots[(w.ring.head+i)%w.ring.overlap].Clone()
+	if keep := min(w.ring.n, w.overlap-1); keep > 0 {
+		ws.Ring = make([]stream.TypeCounts, keep)
+		for i := range ws.Ring {
+			ws.Ring[i] = w.ring.slots[(w.ring.head+w.ring.n-keep+i)%w.overlap].Clone()
 		}
 	}
 	return ws
@@ -444,10 +446,8 @@ func restoreWindower(w *Windower, ws durable.WindowerState) {
 	w.panes = ws.Panes
 	w.pending = append(w.pending[:0], ws.Pending...)
 	w.rebuildSlots()
-	if w.overlap > 1 {
-		for _, tally := range ws.Ring {
-			w.ring.push(tally.Clone())
-		}
+	for _, tally := range ws.Ring {
+		w.ring.push(tally.Clone())
 	}
 }
 
@@ -481,9 +481,7 @@ func (w *Windower) advanceTo(target event.Timestamp) {
 		return
 	}
 	for w.nextStart < target {
-		if w.overlap > 1 {
-			w.ring.push(w.ring.takeSlot())
-		}
+		w.ring.push(w.ring.takeSlot())
 		w.nextStart += w.slide
 		w.panes++
 	}

@@ -390,3 +390,139 @@ func TestDurabilityValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreWindowerCheckpointShapes pins checkpoint compatibility across
+// the windower's state shapes: a stream restored mid-feed from a checkpoint
+// in the legacy shape (no Ring for a tumbling stream, all overlap panes for a
+// sliding one) or in the current shape (the newest overlap-1 panes) keeps
+// serving exactly the answers — index, interval, Detected — of an
+// uninterrupted run.
+func TestRestoreWindowerCheckpointShapes(t *testing.T) {
+	pt, err := core.NewPatternType("priv", "a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	var evs []event.Event
+	now := event.Timestamp(0)
+	for i := 0; i < 160; i++ {
+		now += event.Timestamp(rng.Intn(3))
+		jitter := event.Timestamp(rng.Intn(4)) // within the reorder lateness
+		// Sparse a and b, so a window's answers depend on the panes the
+		// checkpoint carries, not only on the events after it.
+		typ := event.Type("c")
+		if r := rng.Intn(12); r < 2 {
+			typ = []event.Type{"a", "b"}[r]
+		}
+		evs = append(evs, event.New(typ, now-jitter).WithSource("s"))
+	}
+	const cut = 97
+	for _, tc := range []struct {
+		name   string
+		slide  event.Timestamp
+		legacy bool
+	}{
+		{"tumbling/legacy", 10, true},
+		{"tumbling/current", 10, false},
+		{"sliding/legacy", 2, true},
+		{"sliding/current", 2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{
+				Shards:          1,
+				WindowWidth:     10,
+				Slide:           tc.slide,
+				Lateness:        ReorderBuffer,
+				AllowedLateness: 3,
+				Mechanism:       func(int) (core.Mechanism, error) { return identityMechanism{}, nil },
+				Private:         []core.PatternType{pt},
+				Targets: []cep.Query{
+					{Name: "has-a", Pattern: cep.E("a"), Window: 10},
+					{Name: "no-b", Pattern: cep.NegOf(cep.E("b")), Window: 10},
+				},
+				Seed: 3,
+			}
+			serve := func(cfg Config, evs []event.Event) (*Runtime, map[string][]Answer) {
+				rt, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, wait := collectAnswers(t, rt)
+				for _, e := range evs {
+					if err := rt.Ingest(e); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := rt.Close(); err != nil {
+					t.Fatal(err)
+				}
+				wait()
+				return rt, got
+			}
+			_, want := serve(cfg, evs)
+
+			// The checkpoint: one stream's windower after the first cut events.
+			w := cfg.newWindower()
+			next := 0
+			for _, e := range evs[:cut] {
+				ws, _ := w.Push(e)
+				next += len(ws)
+			}
+			state := exportWindower(w)
+			if len(state.Pending) == 0 {
+				t.Fatal("cut leaves no pending events; the restore would not exercise the reorder buffer")
+			}
+			if n := w.Overlap() - 1; len(state.Ring) != n {
+				t.Fatalf("exported ring holds %d panes, want overlap-1 = %d", len(state.Ring), n)
+			}
+			if tc.legacy && w.Overlap() > 1 {
+				state.Ring = nil
+				for i := 0; i < w.ring.n; i++ {
+					state.Ring = append(state.Ring, w.ring.slots[(w.ring.head+i)%w.overlap].Clone())
+				}
+				if len(state.Ring) != w.Overlap() {
+					t.Fatalf("legacy ring holds %d panes, want %d", len(state.Ring), w.Overlap())
+				}
+			}
+			dir := t.TempDir()
+			l, err := durable.Open(dir, durable.Options{Shards: 1, Fsync: durable.FsyncOff})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck := &durable.Checkpoint{Shards: []durable.ShardCheckpoint{{
+				Shard:   0,
+				Streams: []durable.StreamCheckpoint{{Key: "s", Next: next, Windower: state}},
+			}}}
+			if err := l.WriteCheckpoint(ck); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			cfg.Durability = &DurabilityConfig{Dir: dir, Fsync: FsyncOff}
+			rt, got := serve(cfg, evs[cut:])
+			if rec := rt.Recovery(); rec == nil || rec.Streams != 1 {
+				t.Fatalf("recovery = %+v, want one restored stream", rec)
+			}
+			for _, q := range []string{"s/has-a", "s/no-b"} {
+				if len(want[q]) <= next {
+					t.Fatalf("%s: uninterrupted run has %d answers, cut at %d", q, len(want[q]), next)
+				}
+				tail := want[q][next:]
+				if len(got[q]) != len(tail) {
+					t.Fatalf("%s: %d answers after restore, want %d", q, len(got[q]), len(tail))
+				}
+				for i, a := range got[q] {
+					b := tail[i]
+					if a.WindowIndex != b.WindowIndex || a.Window.Start != b.Window.Start ||
+						a.Window.End != b.Window.End || a.Detected != b.Detected {
+						t.Fatalf("%s answer %d: %d [%d,%d) %t, uninterrupted %d [%d,%d) %t", q, i,
+							a.WindowIndex, a.Window.Start, a.Window.End, a.Detected,
+							b.WindowIndex, b.Window.Start, b.Window.End, b.Detected)
+					}
+				}
+			}
+		})
+	}
+}

@@ -86,15 +86,13 @@ type Config struct {
 	WindowWidth event.Timestamp
 	// Slide is how far consecutive windows advance. It must be a positive
 	// divisor of WindowWidth; 0 (the default) means WindowWidth, i.e.
-	// tumbling windows — exactly the pre-slide behavior, same code path.
-	// When Slide < WindowWidth each stream is served over sliding windows
-	// assembled from panes of the slide width: per-pane type tallies are
-	// merged across a ring into every covering window, so overlapping
-	// windows share their evaluation work instead of re-buffering and
-	// re-scanning events per window. Sliding answers carry interval-only
-	// windows (no Events, no TypeCounts): per-window event lists are never
-	// materialized on the pane path, and raw contents are not republished
-	// to subscribers. Privacy note: each event then contributes to
+	// tumbling windows. Every stream is served over windows assembled from
+	// panes of the slide width: per-pane type tallies are merged across a
+	// ring of WindowWidth/Slide panes into every covering window, so
+	// overlapping windows share their evaluation work instead of
+	// re-scanning events per window, and a tumbling window is a ring of
+	// one pane. Answers carry interval-only windows in both modes. Privacy
+	// note: with Slide < WindowWidth each event contributes to
 	// WindowWidth/Slide independently perturbed releases, so the per-event
 	// privacy loss composes up to overlap x the per-window budget — see
 	// README "Sliding windows" for the trade-off.
@@ -199,10 +197,7 @@ type Config struct {
 
 // newWindower builds one stream's windower for the configuration.
 func (c Config) newWindower() *Windower {
-	if slide := c.slideOrWidth(); slide < c.WindowWidth {
-		return NewSlidingWindower(c.WindowWidth, slide, c.Lateness, c.AllowedLateness, c.Horizon)
-	}
-	return NewWindower(c.WindowWidth, c.Lateness, c.AllowedLateness, c.Horizon)
+	return NewSlidingWindower(c.WindowWidth, c.slideOrWidth(), c.Lateness, c.AllowedLateness, c.Horizon)
 }
 
 // slideOrWidth resolves the effective slide (0 defaults to the width).
@@ -212,9 +207,6 @@ func (c Config) slideOrWidth() event.Timestamp {
 	}
 	return c.Slide
 }
-
-// sliding reports whether the configuration serves overlapping windows.
-func (c Config) sliding() bool { return c.slideOrWidth() < c.WindowWidth }
 
 func (c Config) withDefaults() Config {
 	if c.Shards == 0 {

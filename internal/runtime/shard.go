@@ -402,17 +402,8 @@ func (s *shard) emitServe(key string, st *streamState, ws []stream.Window) bool 
 	}
 	s.ansScratch = answers
 	s.pubAns = s.pubAns[:0]
-	sliding := s.rt.cfg.sliding()
 	for _, a := range answers {
 		a.WindowIndex += st.next
-		if sliding {
-			// Sliding answers carry interval-only windows: the pane path
-			// never materializes per-window event lists, and the tally
-			// buffers are windower-owned scratch reclaimed on the next
-			// push, so neither may escape to subscribers.
-			a.Window.Events = nil
-			a.Window.TypeCounts = nil
-		}
 		s.pubAns = append(s.pubAns, Answer{Stream: key, Shard: s.id, Epoch: s.cur.epoch, TraceNanos: s.trace0, Answer: a})
 	}
 	// Unbudgeted releases carry no ε charge, but the records must still hit

@@ -6,12 +6,12 @@
 // Events are routed to shards by stream key (a pluggable Sharder; hash of
 // Event.Source by default), so each stream is served by exactly one shard and
 // its answers are delivered in window order. Within a shard, an incremental
-// Windower cuts tumbling windows per stream as the watermark advances,
-// honoring a configurable lateness policy. Closed windows flow through the
-// shard's PrivateEngine and the released answers are published on an answer
-// bus that data consumers subscribe to per query. Ingest channels are bounded
-// with explicit backpressure (block or drop-oldest), Close drains every shard
-// gracefully, and Snapshot exposes per-shard serving counters.
+// Windower cuts tumbling or sliding windows per stream as the watermark
+// advances, honoring a configurable lateness policy. Closed windows flow
+// through the shard's PrivateEngine and the released answers are published on
+// an answer bus that data consumers subscribe to per query. Ingest channels
+// are bounded with explicit backpressure (block or drop-oldest), Close drains
+// every shard gracefully, and Snapshot exposes per-shard serving counters.
 package runtime
 
 import (
@@ -25,13 +25,13 @@ type LatenessPolicy int
 const (
 	// DropLate closes each window as soon as an event at or past its end
 	// arrives; events older than every open window are discarded and
-	// counted. Disorder within a still-open window is tolerated (events
-	// are sorted when the window is cut).
+	// counted. Disorder within a still-open window is tolerated (a window
+	// is a tally, so the order of its events does not matter).
 	DropLate LatenessPolicy = iota
 	// ReorderBuffer holds the watermark AllowedLateness behind the highest
 	// observed timestamp, keeping windows open long enough for events up
-	// to that much out of order to be sorted into place. Events older than
-	// the watermark are still discarded and counted.
+	// to that much out of order to be counted in their window. Events
+	// older than the watermark are still discarded and counted.
 	ReorderBuffer
 )
 
@@ -62,22 +62,21 @@ const (
 )
 
 // Windower incrementally cuts one stream's unbounded event feed into
-// tumbling or sliding windows. It is the streaming counterpart of
-// stream.Tumbling / stream.Sliding for feeds that are not materialized as a
-// channel or slice: Push one event at a time and receive the windows it
-// closes; Flush the trailing windows when the feed ends. Like the channel
-// windowers it emits empty windows for gaps, so window indices stay aligned
-// with time — the empty windows are released too, since skipping them would
-// leak which windows were empty.
+// windows of a fixed width advancing by a fixed slide: Push one event at a
+// time and receive the windows it closes; Flush the trailing windows when
+// the feed ends. Like stream.WindowSlice it emits empty windows for gaps, so
+// window indices stay aligned with time — the empty windows are released
+// too, since skipping them would leak which windows were empty.
 //
-// Sliding windows (slide < width) are served by stream slicing: the windower
-// cuts the stream into non-overlapping panes of the slide width, tallies each
-// pane's type occurrences once, and assembles every emitted window from a
-// ring of pane tallies — merge on pane entry, unmerge on pane exit — so the
-// per-window cost is O(distinct types), not O(events x overlap). Pane-mode
-// windows carry no Events (their tally is the serving representation; see
-// the PushInto contract) and their TypeCounts buffers are recycled on the
-// next Push/Flush call.
+// Every window is assembled by stream slicing: the windower cuts the stream
+// into non-overlapping panes of the slide width, tallies each pane's type
+// occurrences once, and assembles each emitted window from a ring of the last
+// width/slide pane tallies — merge on pane entry, unmerge on pane exit — so
+// the per-window cost is O(distinct types), not O(events x overlap). A
+// tumbling window is a ring of one pane. Windows carry their interval and
+// TypeCounts only, never their events: the tally is all the engine reads, and
+// a window's raw events must not reach data consumers. TypeCounts buffers are
+// recycled on the next Push/Flush (see the PushInto contract).
 //
 // A Windower is not safe for concurrent use; in the Runtime each stream's
 // windower is owned by a single shard goroutine.
@@ -90,39 +89,33 @@ type Windower struct {
 	horizon  event.Timestamp
 
 	started   bool
-	nextStart event.Timestamp // start of the earliest still-open window (pane-mode: pane)
+	nextStart event.Timestamp // start of the earliest still-open pane
 	maxTime   event.Timestamp // highest event timestamp seen
-	pending   []event.Event   // events of still-open windows/panes, unordered
-	// slotCounts tracks each open window's (pane-mode: pane's) population:
-	// slotCounts[i] is the number of pending events in the slot starting at
-	// nextStart + i*slide. Cut windows pre-size their event slice from it
-	// and fill a per-type occurrence map (carried out as
-	// Window.TypeCounts) in the same pass that partitions the events, so
-	// downstream indicator extraction and required-type pruning never
-	// rescan a window.
+	pending   []event.Event   // events of still-open panes, unordered
+	// slotCounts tracks each open pane's population: slotCounts[i] is the
+	// number of pending events in the pane starting at nextStart + i*slide.
+	// Cutting an empty pane then skips the scan of pending events.
 	slotCounts []int
 	dropped    int64
 	panes      int64 // panes cut (tumbling: one per window)
 
-	// ring is the pane tally ring backing sliding-window assembly.
+	// ring is the pane tally ring every window is assembled from.
 	ring paneRing
 }
 
-// NewWindower builds a windower cutting tumbling windows of the given width.
-// lateness is only consulted under the ReorderBuffer policy and must be
-// non-negative. horizon bounds how far past the stream's newest event one
-// event may jump — and therefore how many gap windows a single push can
-// force; 0 disables the bound.
+// NewWindower builds a windower cutting tumbling windows of the given width:
+// NewSlidingWindower with slide == width. lateness is only consulted under
+// the ReorderBuffer policy and must be non-negative. horizon bounds how far
+// past the stream's newest event one event may jump — and therefore how many
+// gap windows a single push can force; 0 disables the bound.
 func NewWindower(width event.Timestamp, policy LatenessPolicy, lateness, horizon event.Timestamp) *Windower {
 	return NewSlidingWindower(width, width, policy, lateness, horizon)
 }
 
-// NewSlidingWindower builds a windower cutting sliding windows of the given
-// width advancing by slide, which must be a positive divisor of width
-// (slide == width degenerates to NewWindower's tumbling behavior, same code
-// path and all). Sliding windows are assembled from panes of the slide
-// width; see the Windower doc for the sharing model and the PushInto
-// contract for buffer ownership.
+// NewSlidingWindower builds a windower cutting windows of the given width
+// advancing by slide, which must be a positive divisor of width (slide ==
+// width cuts tumbling windows). See the Windower doc for the pane ring and
+// the PushInto contract for buffer ownership.
 func NewSlidingWindower(width, slide event.Timestamp, policy LatenessPolicy, lateness, horizon event.Timestamp) *Windower {
 	if width <= 0 {
 		panic("runtime: window width must be positive")
@@ -158,11 +151,8 @@ func (w *Windower) Push(e event.Event) (closed []stream.Window, res PushResult) 
 
 // PushInto is Push appending closed windows into dst, so a streaming caller
 // can reuse one window buffer across pushes instead of allocating a slice
-// per cut. For tumbling windows the returned windows
-// (their Events and TypeCounts) stay valid after the buffer is reused; only
-// the slice header is recycled. Pane-assembled sliding windows carry no
-// Events and their TypeCounts are windower-owned scratch, valid only until
-// the next Push/Flush call — callers that retain them must copy.
+// per cut. The returned windows' TypeCounts are windower-owned scratch, valid
+// only until the next Push/Flush call — callers that retain them must copy.
 func (w *Windower) PushInto(e event.Event, dst []stream.Window) (closed []stream.Window, res PushResult) {
 	if w.started && w.horizon > 0 && e.Time > w.maxTime+w.horizon {
 		// A runaway timestamp would force an unbounded run of gap
@@ -171,16 +161,14 @@ func (w *Windower) PushInto(e event.Event, dst []stream.Window) (closed []stream
 		w.dropped++
 		return dst, PushFuture
 	}
-	if w.overlap > 1 {
-		// Snapshots handed out by the previous call are reclaimable now —
-		// the PushInto contract bounds their lifetime to one call.
-		w.ring.recycleEmitted()
-	}
+	// Snapshots handed out by the previous call are reclaimable now — the
+	// PushInto contract bounds their lifetime to one call.
+	w.ring.recycleEmitted()
 	if !w.started {
 		w.started = true
-		// In pane mode the earliest open slot is the pane containing the
-		// event; the first emitted window is the earliest sliding window
-		// covering it, which ends exactly at that pane's end.
+		// The earliest open pane is the one containing the event; the
+		// first emitted window is the earliest window covering it, which
+		// ends exactly at that pane's end.
 		w.nextStart = stream.AlignDown(e.Time, w.slide)
 		w.maxTime = e.Time
 	}
@@ -202,37 +190,31 @@ func (w *Windower) PushInto(e event.Event, dst []stream.Window) (closed []stream
 
 // Flush closes every window still holding or preceding pending events —
 // the stream's trailing windows at shutdown — and resets the windower for
-// a fresh feed. In pane mode the trailing partially-covered sliding windows
-// (those whose interval extends past the last pane) are emitted too,
-// mirroring stream.Sliding: every window whose start is at or before the
-// newest event's pane is answered.
+// a fresh feed. The trailing partially-covered sliding windows (those whose
+// interval extends past the last pane) are emitted too: every window whose
+// start is at or before the newest event's pane is answered.
 func (w *Windower) Flush() []stream.Window {
 	return w.FlushInto(nil)
 }
 
 // FlushInto is Flush appending the trailing windows into dst. The PushInto
-// ownership contract applies: pane-assembled windows' TypeCounts are valid
-// only until the next Push/Flush call.
+// ownership contract applies.
 func (w *Windower) FlushInto(dst []stream.Window) []stream.Window {
 	if !w.started {
 		return dst
 	}
-	if w.overlap > 1 {
-		w.ring.recycleEmitted()
-	}
+	w.ring.recycleEmitted()
 	lastSlotEnd := stream.AlignDown(w.maxTime, w.slide) + w.slide
 	out := w.cut(dst, lastSlotEnd)
-	if w.overlap > 1 {
-		// Trailing windows still cover the newest panes; emit them by
-		// rotating empty panes through the ring, up to the window whose
-		// start is the newest event's pane.
-		lastStart := lastSlotEnd - w.slide
-		for s := lastSlotEnd - w.width + w.slide; s <= lastStart; s += w.slide {
-			w.ring.push(w.ring.takeSlot())
-			out = append(out, stream.Window{Start: s, End: s + w.width, TypeCounts: w.ring.snapshot()})
-		}
-		w.ring.reset()
+	// Trailing windows still cover the newest panes; emit them by rotating
+	// empty panes through the ring, up to the window whose start is the
+	// newest event's pane (none for tumbling windows).
+	lastStart := lastSlotEnd - w.slide
+	for s := lastSlotEnd - w.width + w.slide; s <= lastStart; s += w.slide {
+		w.ring.push(w.ring.takeSlot())
+		out = append(out, stream.Window{Start: s, End: s + w.width, TypeCounts: w.ring.snapshot()})
 	}
+	w.ring.reset()
 	w.started = false
 	w.pending = nil
 	w.slotCounts = w.slotCounts[:0]
@@ -251,26 +233,15 @@ func (w *Windower) Panes() int64 { return w.panes }
 // tumbling windows.
 func (w *Windower) Overlap() int { return w.overlap }
 
-// cut closes all windows ending at or before the given watermark, appending
-// them to out. Tumbling mode (overlap == 1) assigns pending events and sorts
-// each window into canonical stream order; each closed window takes
-// ownership of its occurrence map as TypeCounts (empty gap windows carry
-// none). Pane mode (overlap > 1) instead closes panes: each closed pane's
-// tally is merged into the ring, and the sliding window ending at the pane's
-// end is emitted with the ring's merged tally and no Events — the pane path
-// never copies or sorts events per window.
+// cut closes all panes ending at or before the given watermark, appending a
+// window per pane to out: each closed pane's tally enters the ring, and the
+// window ending at the pane's end is emitted with the ring's merged tally.
 func (w *Windower) cut(out []stream.Window, watermark event.Timestamp) []stream.Window {
 	for w.nextStart+w.slide <= watermark {
 		end := w.nextStart + w.slide
-		total := 0
+		tally := w.ring.takeSlot()
 		if len(w.slotCounts) > 0 {
-			total = w.slotCounts[0]
-			w.slotCounts = w.slotCounts[:copy(w.slotCounts, w.slotCounts[1:])]
-		}
-		w.panes++
-		if w.overlap > 1 {
-			tally := w.ring.takeSlot()
-			if total > 0 {
+			if w.slotCounts[0] > 0 {
 				rest := w.pending[:0]
 				for _, e := range w.pending {
 					if e.Time < end {
@@ -281,38 +252,17 @@ func (w *Windower) cut(out []stream.Window, watermark event.Timestamp) []stream.
 				}
 				w.pending = rest
 			}
-			w.ring.push(tally)
-			out = append(out, stream.Window{Start: end - w.width, End: end, TypeCounts: w.ring.snapshot()})
-			w.nextStart = end
-			continue
+			w.slotCounts = w.slotCounts[:copy(w.slotCounts, w.slotCounts[1:])]
 		}
-		cur := stream.Window{Start: w.nextStart, End: end}
-		if total > 0 {
-			// The slot population is known, so the window's event slice
-			// is allocated exactly once at final size, and its type
-			// occurrences are tallied in the same pass that assigns the
-			// events.
-			cur.Events = make([]event.Event, 0, total)
-			cur.TypeCounts = make(stream.TypeCounts, 0, min(total, 8))
-			rest := w.pending[:0]
-			for _, e := range w.pending {
-				if e.Time < end {
-					cur.Events = append(cur.Events, e)
-					cur.TypeCounts = cur.TypeCounts.Add(e.Type)
-				} else {
-					rest = append(rest, e)
-				}
-			}
-			w.pending = rest
-			event.SortEvents(cur.Events)
-		}
-		out = append(out, cur)
+		w.panes++
+		w.ring.push(tally)
+		out = append(out, stream.Window{Start: end - w.width, End: end, TypeCounts: w.ring.snapshot()})
 		w.nextStart = end
 	}
 	return out
 }
 
-// paneRing is the tally ring backing sliding-window assembly: the per-type
+// paneRing is the tally ring every window is assembled from: the per-type
 // tallies of the last overlap panes, plus the running merged tally that is
 // snapshotted into each emitted window. Slot and snapshot buffers are
 // recycled through a free list, so a steady-state stream allocates nothing

@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"patterndp/internal/event"
@@ -22,7 +23,8 @@ func countIn(evs []event.Event, typ event.Type, start, end event.Timestamp) int 
 }
 
 // TestSlidingWindowerMatchesBruteForce is the pane-assembly property test:
-// for randomized widths, slides, lateness policies, and event feeds, every
+// for randomized widths, slides (tumbling included), lateness policies, and
+// event feeds, every
 // window the pane windower emits must tally exactly like a brute-force scan
 // of the accepted events over the window's interval, and the emitted
 // intervals must advance by the slide from the earliest window covering the
@@ -32,7 +34,7 @@ func TestSlidingWindowerMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		slide := event.Timestamp(rng.Intn(5) + 1)
-		overlap := rng.Intn(7) + 2
+		overlap := rng.Intn(8) + 1 // 1 is tumbling: one oracle for both modes
 		width := slide * event.Timestamp(overlap)
 		policy, lateness := DropLate, event.Timestamp(0)
 		if rng.Intn(2) == 1 {
@@ -55,10 +57,7 @@ func TestSlidingWindowerMatchesBruteForce(t *testing.T) {
 			if res == PushAccepted {
 				accepted = append(accepted, e)
 			}
-			for _, win := range scratch {
-				got = append(got, stream.Window{Start: win.Start, End: win.End,
-					TypeCounts: append(stream.TypeCounts(nil), win.TypeCounts...)})
-			}
+			got = detach(got, scratch)
 		}
 		got = append(got, w.FlushInto(nil)...)
 		if len(accepted) == 0 {
@@ -87,7 +86,7 @@ func TestSlidingWindowerMatchesBruteForce(t *testing.T) {
 					trial, i, win.Start, win.End, ws, ws+width)
 			}
 			if win.Events != nil {
-				t.Fatalf("trial %d window %d: pane windows must not carry events", trial, i)
+				t.Fatalf("trial %d window %d (overlap %d): windows must not carry events", trial, i, overlap)
 			}
 			for _, typ := range types {
 				if gotC, wantC := win.Count(typ), countIn(accepted, typ, win.Start, win.End); gotC != wantC {
@@ -175,10 +174,7 @@ func TestSlidingWindowerMatchesNaive(t *testing.T) {
 			now += event.Timestamp(rng.Intn(3))
 			e := event.New(types[rng.Intn(len(types))], now)
 			ws, res := pane.Push(e)
-			for _, win := range ws {
-				gotPane = append(gotPane, stream.Window{Start: win.Start, End: win.End,
-					TypeCounts: append(stream.TypeCounts(nil), win.TypeCounts...)})
-			}
+			gotPane = detach(gotPane, ws)
 			nws, nres := naive.Push(e)
 			gotNaive = append(gotNaive, nws...)
 			if res != nres {
@@ -209,14 +205,27 @@ func TestSlidingWindowerMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestSlidingWindowerSlideEqualsWidthIsTumbling asserts the degenerate slide
-// configuration reproduces the tumbling windower bit-for-bit: same windows,
-// same events, same tallies.
+// TestSlidingWindowerSlideEqualsWidthIsTumbling asserts the tumbling
+// constructor is the one-pane sliding windower: same windows, same tallies.
 func TestSlidingWindowerSlideEqualsWidthIsTumbling(t *testing.T) {
 	tumble := NewWindower(10, DropLate, 0, 0)
 	slide := NewSlidingWindower(10, 10, DropLate, 0, 0)
+	if tumble.Overlap() != 1 || slide.Overlap() != 1 {
+		t.Fatalf("overlap = %d / %d, want 1", tumble.Overlap(), slide.Overlap())
+	}
 	rng := rand.New(rand.NewSource(5))
 	now := event.Timestamp(0)
+	same := func(at string, a, b []stream.Window) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: %d vs %d windows", at, len(a), len(b))
+		}
+		for j := range a {
+			if a[j].Start != b[j].Start || a[j].End != b[j].End || !slices.Equal(a[j].TypeCounts, b[j].TypeCounts) {
+				t.Fatalf("%s window %d: %+v vs %+v", at, j, a[j], b[j])
+			}
+		}
+	}
 	for i := 0; i < 100; i++ {
 		now += event.Timestamp(rng.Intn(4))
 		e := event.New(event.Type(fmt.Sprintf("t%d", rng.Intn(3))), now)
@@ -225,25 +234,9 @@ func TestSlidingWindowerSlideEqualsWidthIsTumbling(t *testing.T) {
 		if ra != rb {
 			t.Fatalf("event %d: results differ: %v vs %v", i, ra, rb)
 		}
-		if len(a) != len(b) {
-			t.Fatalf("event %d: %d vs %d windows", i, len(a), len(b))
-		}
-		for j := range a {
-			if a[j].Start != b[j].Start || a[j].End != b[j].End ||
-				len(a[j].Events) != len(b[j].Events) || len(a[j].TypeCounts) != len(b[j].TypeCounts) {
-				t.Fatalf("event %d window %d: %+v vs %+v", i, j, a[j], b[j])
-			}
-			for k := range a[j].Events {
-				if a[j].Events[k].Type != b[j].Events[k].Type || a[j].Events[k].Time != b[j].Events[k].Time {
-					t.Fatalf("event %d window %d event %d differs", i, j, k)
-				}
-			}
-		}
+		same(fmt.Sprintf("event %d", i), a, b)
 	}
-	a, b := tumble.Flush(), slide.Flush()
-	if len(a) != len(b) {
-		t.Fatalf("flush: %d vs %d windows", len(a), len(b))
-	}
+	same("flush", tumble.Flush(), slide.Flush())
 }
 
 // TestSlidingWindowerRecyclesTallies pins the ownership contract: a
@@ -280,18 +273,10 @@ func TestSlidingWindowerRecyclesTallies(t *testing.T) {
 func TestSlidingWindowerFlushEmitsTrailingWindows(t *testing.T) {
 	w := NewSlidingWindower(6, 2, DropLate, 0, 0)
 	ws, _ := w.Push(event.New("a", 0))
-	copyWindows := func(in []stream.Window) []stream.Window {
-		var out []stream.Window
-		for _, win := range in {
-			out = append(out, stream.Window{Start: win.Start, End: win.End,
-				TypeCounts: append(stream.TypeCounts(nil), win.TypeCounts...)})
-		}
-		return out
-	}
-	got := copyWindows(ws)
+	got := detach(nil, ws)
 	ws, _ = w.Push(event.New("b", 3))
-	got = append(got, copyWindows(ws)...)
-	ws = append(got, copyWindows(w.Flush())...)
+	got = detach(got, ws)
+	ws = detach(got, w.Flush())
 	// Accepted events span [0,3]: windows start at AlignDown(0-6+2,2) = -4
 	// through AlignDown(3,2) = 2 → starts -4,-2,0,2.
 	wantStarts := []event.Timestamp{-4, -2, 0, 2}
@@ -314,5 +299,31 @@ func TestSlidingWindowerFlushEmitsTrailingWindows(t *testing.T) {
 	ws, res := w.Push(event.New("a", 100))
 	if res != PushAccepted || len(ws) != 0 {
 		t.Fatalf("post-flush push: %v, %d windows", res, len(ws))
+	}
+}
+
+// TestSlidingWindowerPanicsOnBadParams pins the constructor's guards: the
+// slide must be a positive divisor of a positive width, and lateness and
+// horizon must be non-negative.
+func TestSlidingWindowerPanicsOnBadParams(t *testing.T) {
+	for _, tc := range []struct {
+		name                            string
+		width, slide, lateness, horizon event.Timestamp
+	}{
+		{"zero width", 0, 1, 0, 0},
+		{"zero slide", 4, 0, 0, 0},
+		{"slide past width", 4, 8, 0, 0},
+		{"slide not a divisor", 6, 4, 0, 0},
+		{"negative lateness", 4, 2, -1, 0},
+		{"negative horizon", 4, 2, 0, -1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", tc.name)
+				}
+			}()
+			NewSlidingWindower(tc.width, tc.slide, ReorderBuffer, tc.lateness, tc.horizon)
+		}()
 	}
 }

@@ -4,23 +4,40 @@ import (
 	"patterndp/internal/event"
 )
 
-// Pane is a non-overlapping slice of the event stream: the unit of work
-// sharing for sliding windows. A sliding window of width w advancing by slide
-// s (with w a multiple of s) is the concatenation of w/s consecutive panes,
-// so per-pane aggregates — event tallies, indicator partials, matcher state —
-// are computed once and merged into every window that covers the pane,
-// instead of being recomputed per overlapping window.
-type Pane struct {
-	// Start is the inclusive start of the covered interval.
-	Start event.Timestamp
-	// End is the exclusive end; End-Start is the slide width.
-	End event.Timestamp
-	// Events are the pane contents in canonical stream order.
-	Events []event.Event
-	// TypeCounts, when non-nil, is the pane's per-type occurrence tally,
-	// mergeable across a pane ring into a window tally (see
-	// TypeCounts.Merge). It must agree with Events.
-	TypeCounts TypeCounts
+// TypeCount is one entry of a window's type-occurrence tally.
+type TypeCount struct {
+	// Type is the tallied event type.
+	Type event.Type
+	// N is how often it occurs in the window.
+	N int
+}
+
+// TypeCounts is a compact per-type occurrence tally, ordered by first
+// appearance. Windows hold a handful of distinct types, so a linear scan
+// beats a hash map on the serving path — no hashing, and the whole tally is
+// one small allocation.
+type TypeCounts []TypeCount
+
+// Count returns the tallied occurrences of t (0 when absent).
+func (tc TypeCounts) Count(t event.Type) int {
+	for i := range tc {
+		if tc[i].Type == t {
+			return tc[i].N
+		}
+	}
+	return 0
+}
+
+// Add increments t's tally, appending a new entry on first occurrence, and
+// returns the updated tally.
+func (tc TypeCounts) Add(t event.Type) TypeCounts {
+	for i := range tc {
+		if tc[i].Type == t {
+			tc[i].N++
+			return tc
+		}
+	}
+	return append(tc, TypeCount{Type: t, N: 1})
 }
 
 // AddCount adds n occurrences of t to the tally and returns the updated

@@ -6,54 +6,20 @@ import (
 
 // Window is a finite batch of events cut from an event stream. Windows carry
 // the half-open logical-time interval [Start, End) they cover.
-// TypeCount is one entry of a window's type-occurrence tally.
-type TypeCount struct {
-	// Type is the tallied event type.
-	Type event.Type
-	// N is how often it occurs in the window.
-	N int
-}
-
-// TypeCounts is a compact per-type occurrence tally, ordered by first
-// appearance. Windows hold a handful of distinct types, so a linear scan
-// beats a hash map on the serving path — no hashing, and the whole tally is
-// one small allocation.
-type TypeCounts []TypeCount
-
-// Count returns the tallied occurrences of t (0 when absent).
-func (tc TypeCounts) Count(t event.Type) int {
-	for i := range tc {
-		if tc[i].Type == t {
-			return tc[i].N
-		}
-	}
-	return 0
-}
-
-// Add increments t's tally, appending a new entry on first occurrence, and
-// returns the updated tally.
-func (tc TypeCounts) Add(t event.Type) TypeCounts {
-	for i := range tc {
-		if tc[i].Type == t {
-			tc[i].N++
-			return tc
-		}
-	}
-	return append(tc, TypeCount{Type: t, N: 1})
-}
-
 type Window struct {
 	// Start is the inclusive start of the covered interval.
 	Start event.Timestamp
 	// End is the exclusive end of the covered interval.
 	End event.Timestamp
-	// Events are the window contents in canonical stream order.
+	// Events are the window contents in canonical stream order. The batch
+	// cutters (WindowSlice, Tumbling) fill them; the streaming Windower
+	// never does.
 	Events []event.Event
-	// TypeCounts, when non-nil, caches the per-type occurrence tally of
-	// Events. Producers that see every event anyway (the streaming
-	// Windower) fill it so Contains/Count answer without scanning the
-	// events; it must agree with Events. nil means "not maintained" and
-	// queries fall back to scanning.
+	// TypeCounts, when non-nil, is the window's per-type occurrence tally,
+	// so Contains/Count answer without scanning events. The streaming
+	// Windower carries only the tally; when Events are set too they must
+	// agree. nil means "not maintained" and queries fall back to scanning
+	// Events.
 	TypeCounts TypeCounts
 }
 
@@ -155,61 +121,6 @@ func Tumbling(done <-chan struct{}, in Stream[event.Event], width event.Timestam
 		}
 		if cur != nil {
 			emit(*cur)
-		}
-	}()
-	return out
-}
-
-// Sliding cuts the stream into overlapping windows of the given width that
-// advance by the given step. width must be a positive multiple of step: each
-// event then belongs to exactly width/step windows.
-func Sliding(done <-chan struct{}, in Stream[event.Event], width, step event.Timestamp) Stream[Window] {
-	if step <= 0 || width <= 0 || width%step != 0 {
-		panic("stream: sliding windows require width > 0, step > 0, width % step == 0")
-	}
-	out := make(chan Window)
-	go func() {
-		defer close(out)
-		var open []*Window // windows awaiting completion, ordered by Start
-		emit := func(w Window) bool {
-			select {
-			case out <- w:
-				return true
-			case <-done:
-				return false
-			}
-		}
-		var nextStart event.Timestamp
-		started := false
-		for e := range in {
-			if !started {
-				// The earliest window containing e starts at
-				// e.Time - width + step, aligned down to step.
-				nextStart = AlignDown(e.Time-width+step, step)
-				started = true
-			}
-			// Open all windows whose interval has begun.
-			for nextStart <= e.Time {
-				open = append(open, &Window{Start: nextStart, End: nextStart + width})
-				nextStart += step
-			}
-			// Close windows that ended before this event.
-			for len(open) > 0 && e.Time >= open[0].End {
-				if !emit(*open[0]) {
-					return
-				}
-				open = open[1:]
-			}
-			for _, w := range open {
-				if e.Time >= w.Start && e.Time < w.End {
-					w.Events = append(w.Events, e)
-				}
-			}
-		}
-		for _, w := range open {
-			if !emit(*w) {
-				return
-			}
 		}
 	}()
 	return out

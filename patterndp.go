@@ -56,10 +56,11 @@
 // Setting RuntimeConfig.Slide below WindowWidth serves sliding windows:
 // each stream is cut into non-overlapping panes of the slide width and
 // every window is assembled from a ring of per-pane tallies, so overlapping
-// windows share their evaluation work instead of re-buffering and
-// re-scanning events per window (see the README's "Sliding windows"
-// section). Slide unset or equal to WindowWidth preserves tumbling behavior
-// exactly.
+// windows share their evaluation work instead of re-scanning events per
+// window (see the README's "Sliding windows" section). Slide unset or equal
+// to WindowWidth serves tumbling windows, a ring of one pane. In both modes
+// an answer carries its window's interval and the released bit, never the
+// window's events.
 //
 // Setting RuntimeConfig.Budget enables privacy-budget accounting and
 // admission control: every stream is granted Budget of pattern-level ε per
@@ -171,16 +172,10 @@ type (
 	// HashSharder is the default stream-key hash Sharder.
 	HashSharder = runtime.HashSharder
 	// Windower incrementally cuts one stream into tumbling or sliding
-	// windows (sliding windows are assembled from panes of the slide
-	// width; see NewSlidingWindower).
+	// windows, each assembled from a ring of pane tallies (panes of the
+	// slide width; a tumbling window is one pane). Windows carry their
+	// interval and tally, never their events.
 	Windower = runtime.Windower
-	// Pane is a non-overlapping slice of the stream: the work-sharing
-	// unit of sliding windows.
-	Pane = stream.Pane
-	// SlidingEval evaluates one compiled Plan continuously over a
-	// pane-sliced stream, sharing detection work across overlapping
-	// windows (see Plan.Sliding).
-	SlidingEval = cep.SlidingEval
 	// LatenessPolicy selects how out-of-order events are treated.
 	LatenessPolicy = runtime.LatenessPolicy
 	// BackpressurePolicy selects what Ingest does when a shard is full.
@@ -350,9 +345,12 @@ func NewEngine() *Engine { return cep.NewEngine() }
 func NewRuntime(cfg RuntimeConfig) (*Runtime, error) { return runtime.New(cfg) }
 
 // NewWindower builds an incremental tumbling windower for one stream — the
-// streaming counterpart of WindowSlice. lateness is only consulted under the
-// ReorderBuffer policy; horizon bounds how far one event may jump past the
-// stream's newest event (0 disables the bound).
+// streaming counterpart of WindowSlice, cutting the same intervals but
+// carrying each window's tally instead of its events. lateness is only
+// consulted under the ReorderBuffer policy; horizon bounds how far one event
+// may jump past the stream's newest event (0 disables the bound). The
+// windows' tally buffers are windower-owned scratch valid only until the
+// next Push/Flush — see the Windower.PushInto contract.
 func NewWindower(width Timestamp, policy LatenessPolicy, lateness, horizon Timestamp) *Windower {
 	return runtime.NewWindower(width, policy, lateness, horizon)
 }
@@ -360,10 +358,7 @@ func NewWindower(width Timestamp, policy LatenessPolicy, lateness, horizon Times
 // NewSlidingWindower builds an incremental sliding windower: windows of the
 // given width advancing by slide (a positive divisor of width), assembled
 // from panes of the slide width so overlapping windows share their tally
-// work. Pane-assembled windows carry TypeCounts but no Events, and their
-// tally buffers are windower-owned scratch valid only until the next
-// Push/Flush — see the Windower.PushInto contract. slide == width
-// degenerates to NewWindower.
+// work. Buffer ownership is as for NewWindower, which is slide == width.
 func NewSlidingWindower(width, slide Timestamp, policy LatenessPolicy, lateness, horizon Timestamp) *Windower {
 	return runtime.NewSlidingWindower(width, slide, policy, lateness, horizon)
 }
